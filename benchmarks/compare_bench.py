@@ -1,7 +1,7 @@
 """Benchmark-trend gate: diff a BENCH_*.json against its baseline.
 
 Every benchmark in this repo emits a JSON artifact (``BENCH_throughput``,
-``BENCH_serve``, ``BENCH_backend``, ``BENCH_serve_sharded``).  Until
+``BENCH_serve``, ``BENCH_backend``, ``BENCH_gateway``, ...).  Until
 this script existed those artifacts were uploaded and forgotten; now
 each CI benchmark step runs::
 
@@ -84,7 +84,6 @@ RATIO_KEYS = frozenset(
     {
         "speedup",
         "speedup_vs_numpy",
-        "speedup_vs_threaded",
         "gateway_efficiency",
         "traced_vs_untraced",
         "cnative_vs_numpy_forward",

@@ -1,10 +1,11 @@
 """Inference time comparison (paper Section IV).
 
 Paper, per 368 x 128 frame on a 2-vCPU Xeon: Tiny-VBF 0.230 s,
-Tiny-CNN 0.520 s, MVDR 240 s.  Absolute numbers depend on the host; the
-shape under test is the ordering Tiny-VBF < Tiny-CNN << MVDR at the
-small evaluation scale, plus the simulated FPGA accelerator's frame
-latency at 100 MHz.
+Tiny-CNN 0.520 s, MVDR 240 s.  The measured small-scale CPU times are
+recorded next to the paper's, never asserted: wall-clock orderings
+depend on the host and its load.  The compute ordering Tiny-VBF <
+Tiny-CNN < MVDR is asserted on GOP counts (``test_complexity_gops.py``);
+this bench asserts the accelerator claim on the cycle model.
 """
 
 import numpy as np
@@ -12,11 +13,10 @@ import numpy as np
 from repro.beamform.mvdr import MvdrConfig, mvdr_beamform
 from repro.beamform.tof import analytic_tofc
 from repro.eval.tables import PAPER_COMPLEXITY
-from repro.fpga import TinyVbfAccelerator, schedule_tiny_vbf
+from repro.fpga import schedule_tiny_vbf
 from repro.metrics.complexity import measure_inference_seconds
 from repro.models.registry import model_input
 from repro.models.tiny_vbf import small_config
-from repro.quant.schemes import SCHEMES
 
 
 def test_inference_time_ordering(
@@ -60,12 +60,6 @@ def test_inference_time_ordering(
     )
     record_result("inference_time", "\n".join(lines))
 
-    # The orderings the paper reports.  At the small evaluation scale
-    # NumPy op overhead (attention reshapes) nearly masks Tiny-VBF's
-    # FLOP advantage over Tiny-CNN, so a near-tie is tolerated; the
-    # paper's 2.3x gap emerges at the 128-channel scale where conv cost
-    # dominates (see the GOPs bench).
-    assert timings["tiny_vbf"] < timings["tiny_cnn"] * 1.25
-    assert timings["tiny_cnn"] < timings["mvdr"]
-    # The accelerator beats the CPU path comfortably.
-    assert schedule.latency_s < timings["tiny_vbf"]
+    # The modeled 100 MHz accelerator beats the paper's CPU time for
+    # Tiny-VBF.  Both sides are host-independent constants.
+    assert schedule.latency_s < PAPER_COMPLEXITY["tiny_vbf"]["cpu_seconds"]

@@ -12,13 +12,13 @@ Two things live here because they must be shared by *both* test trees
   byte-stable across reruns and under ``pytest -p no:randomly`` /
   randomized orderings alike,
 * the ``slow`` marker and its ``--runslow`` gate — soak-class tests
-  (minutes of wall clock; the sharded-serve 5k-frame soak) are skipped
+  (minutes of wall clock; the serve engine's 5k-frame soak) are skipped
   from the tier-1 run and exercised by the nightly CI workflow,
 * the autouse ``leak_guard`` — every test runs inside a
   :class:`repro.analysis.sanitize.LeakGuard`, so a test that forgets
-  to ``close()`` an engine (leaking its pump thread), drops a shard
-  worker process, or skips an shm ``unlink`` (leaking descriptors)
-  fails with a named leak instead of poisoning later tests.
+  to stop a gateway (leaking its pump thread), drops a child process,
+  or never closes a socket (leaking descriptors) fails with a named
+  leak instead of poisoning later tests.
 """
 
 import sys

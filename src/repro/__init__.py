@@ -9,8 +9,8 @@ imaging, built with every substrate it depends on:
 * :mod:`repro.backend` — pluggable compute backends for the hot paths
   (``numpy`` reference, ``numpy-fast`` float32) behind one registry,
 * :mod:`repro.serve` — streaming engine: frame sources, geometry-aware
-  micro-batching scheduler, threaded and process-sharded executors with
-  backpressure, shared-memory transport, telemetry,
+  micro-batching scheduler, a worker-thread executor with backpressure,
+  telemetry and a control loop,
 * :mod:`repro.gateway` — TCP serving frontend: versioned wire protocol,
   session server with admission control, pure-Python client,
 * :mod:`repro.ultrasound` — plane-wave acquisition simulator and

@@ -4,7 +4,7 @@ The repo's correctness story rests on invariants that ordinary tests
 only catch when a test *happens* to exercise a violation: hot kernels
 must dispatch through the :class:`~repro.backend.ArrayBackend` registry,
 serving queues must be bounded, the gateway's asyncio loop must never
-block, shard workers must be spawn-safe, protocol JSON must go through
+block, every module must be spawn-safe, protocol JSON must go through
 the exact-float encoder, and lock-owning classes must mutate shared
 state under their lock.  This module turns those conventions into
 machine-checked rules.

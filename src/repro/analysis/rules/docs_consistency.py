@@ -1,8 +1,6 @@
 """RA007 — the documentation tree must track the code tree.
 
-This is ``scripts/check_docs.py`` absorbed into the rule framework
-(the script survives as a thin shim over this rule).  Two checks, both
-dependency-free:
+Two checks, both dependency-free:
 
 1. **Architecture coverage** — the four core docs pages
    (``architecture``, ``serving``, ``protocol``, ``benchmarking``)

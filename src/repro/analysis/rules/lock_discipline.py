@@ -1,7 +1,7 @@
 """RA006 — lock-owning classes mutate their state only under the lock.
 
 The serve-layer concurrency primitives (:mod:`repro.serve.queues`,
-:mod:`repro.serve.shm`) follow one discipline: a class that owns a
+:mod:`repro.serve.telemetry`) follow one discipline: a class that owns a
 ``self._lock`` mutates its instance attributes *only* inside a
 ``with self._lock:`` (or a Condition built on that lock) block.  A
 mutation that slips outside the lock is invisible to every existing

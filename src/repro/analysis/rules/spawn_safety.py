@@ -1,16 +1,17 @@
-"""RA004 — modules on the shard-worker import path must be spawn-safe.
+"""RA004 — every ``repro`` module must be spawn-safe.
 
-Sharded serving (PR 4) starts workers with the ``spawn`` method: every
-worker re-imports the ``repro`` tree from scratch and then unpickles
-the beamformer it was handed.  Two things can silently break that:
+A process started with the ``spawn`` method — a ``multiprocessing``
+worker handed a pickled beamformer, or any fresh interpreter such as
+each perfbench run — re-imports the ``repro`` tree from scratch and
+then unpickles what it was handed.  Two things can silently break
+that:
 
 1. **Import side effects.**  A module that does real work at import
    time (opens files, starts threads, sleeps, seeds global RNGs,
-   mutates the environment) executes that work *once per worker
-   process*, turning N shards into N surprises.  The import path of a
-   worker is effectively the whole package (the pickled beamformer can
-   pull in any model/layer module), so the rule covers all of
-   ``repro``.
+   mutates the environment) executes that work *once per process*,
+   turning N processes into N surprises.  The import path of a child
+   is effectively the whole package (a pickled beamformer can pull in
+   any model/layer module), so the rule covers all of ``repro``.
 
 2. **Backend pickling.**  Backends cross the process boundary *by
    registry name* (:meth:`repro.backend.ArrayBackend.__reduce__`):
@@ -18,7 +19,7 @@ the beamformer it was handed.  Two things can silently break that:
    scratch pools and cached index tables must never ride a pickle.  An
    :class:`~repro.backend.ArrayBackend` subclass that overrides
    ``__reduce__``/``__reduce_ex__``/``__getstate__``/``__setstate__``
-   breaks that contract and will hand spawned workers stale or
+   breaks that contract and will hand spawned children stale or
    unpicklable state.
 
 Module-level *registrations* (``register_backend``,
@@ -105,7 +106,7 @@ class SpawnSafetyRule(Rule):
                             self.code,
                             node,
                             f"import-time call to {name}(); every "
-                            f"spawned shard worker re-imports this "
+                            f"spawned process re-imports this "
                             f"module, so imports must be side-effect "
                             f"free",
                         )
@@ -128,7 +129,7 @@ class SpawnSafetyRule(Rule):
                             self.code,
                             target,
                             "import-time os.environ mutation; spawned "
-                            "workers must see the parent's environment, "
+                            "children must see the parent's environment, "
                             "not import-order side effects",
                         )
                     )
@@ -156,7 +157,7 @@ class SpawnSafetyRule(Rule):
                         f"ArrayBackend subclass {node.name} overrides "
                         f"{child.name}; backends must pickle by "
                         f"registry name (the base __reduce__) so "
-                        f"spawned workers resolve their own instance",
+                        f"spawned children resolve their own instance",
                     )
 
 

@@ -14,9 +14,9 @@ the source; this module catches what only shows up at runtime:
 
 * **Resource leaks.**  :class:`LeakGuard` snapshots threads, child
   processes and open file descriptors around a block of code and
-  reports what outlived it.  A serving test that forgets to ``close()``
-  an engine leaks its pump thread; a sharding test that drops a worker
-  leaks a process; an shm test that skips ``unlink`` leaks fds.  The
+  reports what outlived it.  A serving test that forgets to stop a
+  gateway leaks its pump thread; a test that never joins a child
+  process leaks it; a test that never closes a socket leaks its fd.  The
   guard polls with a grace period (threads finish asynchronously) and
   carries whitelists for the multiprocessing helper threads the stdlib
   parks forever.
@@ -309,8 +309,7 @@ class LeakGuard:
         fd_tolerance: allowed growth in open descriptors.  Imports,
             numpy scratch files and logging handlers legitimately keep
             a few descriptors; the default absorbs that noise while
-            still catching an unlinked shm ring (whose segments are
-            multiple fds each).
+            still catching a test that leaks sockets or files.
         include_daemon: count daemon threads as leaks.  Off by default
             (libraries park daemon helpers freely); the sanitizer's own
             unit tests switch it on to catch deliberate leaks.

@@ -147,9 +147,8 @@ class MvdrBeamformer(Beamformer):
 class LearnedBeamformer(Beamformer):
     """A trained model plus its input layout behind the uniform API.
 
-    The model-kind string that legacy callers had to carry out-of-band
-    (``predict_iq(model, kind, dataset)``) is bound at construction, so
-    a ``LearnedBeamformer`` can be passed anywhere a classical one can.
+    The model-kind string is bound at construction, so a
+    ``LearnedBeamformer`` can be passed anywhere a classical one can.
     """
 
     def __init__(

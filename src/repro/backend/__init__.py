@@ -33,7 +33,6 @@ from repro.backend.base import (
     available_backends,
     backend_names_and_tolerances,
     backend_unavailable_reason,
-    default_backend_name,
     get_backend,
     mark_backend_unavailable,
     register_backend,
@@ -71,7 +70,6 @@ __all__ = [
     "mark_backend_unavailable",
     "register_cnative_backend",
     "backend_names_and_tolerances",
-    "default_backend_name",
     "flat_matmul",
     "get_backend",
     "register_backend",

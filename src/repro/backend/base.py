@@ -230,9 +230,9 @@ class ArrayBackend(abc.ABC):
         :class:`~repro.api.base.Beamformer`, a serve task) pickles
         cleanly, and the receiving process resolves its *own* registered
         instance.  A custom backend must therefore be registered in the
-        child too (import its module before unpickling); the sharded
-        serve workers re-import :mod:`repro.backend` on spawn, which
-        covers the built-ins.
+        child too (import its module before unpickling); a spawned
+        child re-imports :mod:`repro.backend`, which covers the
+        built-ins.
         """
         return (resolve_backend, (self.name,))
 
@@ -363,20 +363,6 @@ def get_backend(name: "str | ArrayBackend | None" = None) -> ArrayBackend:
             f"(registered: {known}); check REPRO_BACKEND/set_backend"
         )
     return backend
-
-
-def default_backend_name() -> str:
-    """Name of the current *process-wide* default backend.
-
-    This is the value a child process must be initialized with to
-    inherit the parent's backend configuration: ``REPRO_BACKEND`` is
-    only read at import time, so a parent that called
-    :func:`set_backend` after startup would otherwise silently hand
-    spawned workers the wrong numerics.  The sharded serve engine
-    (:mod:`repro.serve.sharding`) passes this to every worker, which
-    calls :func:`set_backend` with it before touching any kernel.
-    """
-    return _DEFAULT_NAME
 
 
 def set_backend(name: "str | ArrayBackend") -> None:

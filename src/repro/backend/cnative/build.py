@@ -2,8 +2,8 @@
 
 The C source (``kernels.c``, shipped as package data) is compiled once
 per (source, flags, compiler) combination into a content-addressed
-shared library under the build cache; every later import — including
-spawned shard workers — dlopens the cached artifact without touching
+shared library under the build cache; every later import — in this
+process or any other — dlopens the cached artifact without touching
 the compiler again.  The build is atomic (compile to a temp name, then
 ``os.replace``) so concurrent first imports cannot observe a torn
 library.

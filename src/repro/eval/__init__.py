@@ -11,7 +11,6 @@
 
 from repro.eval.experiments import (
     EVAL_BEAMFORMERS,
-    beamform_with,
     eval_beamformers,
     load_eval_models,
     run_contrast_experiment,
@@ -30,7 +29,6 @@ from repro.eval.figures import export_bmode_images, export_lateral_profiles
 
 __all__ = [
     "EVAL_BEAMFORMERS",
-    "beamform_with",
     "eval_beamformers",
     "load_eval_models",
     "run_contrast_experiment",

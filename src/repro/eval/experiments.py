@@ -9,17 +9,9 @@ per-beamformer metrics.  Beamformers are built through the unified
   weight cache (:mod:`repro.training.cache`),
 * ``tiny_vbf@<scheme>`` — Tiny-VBF through the simulated FPGA datapath
   for every scheme of Table III.
-
-:func:`beamform_with` and :func:`quantized_iq` are deprecated shims kept
-for legacy callers; new code should use
-``create_beamformer(spec).beamform(dataset)`` directly.
 """
 
 from __future__ import annotations
-
-import warnings
-
-import numpy as np
 
 from repro.api import (
     Beamformer,
@@ -33,11 +25,9 @@ from repro.metrics.resolution import ResolutionMetrics, dataset_resolution
 from repro.models.registry import MODEL_KINDS
 from repro.nn import Model
 from repro.training.cache import get_trained_model
-from repro.utils.validation import require_in
 
 # Paper evaluation order (Tables I and II).
 EVAL_BEAMFORMERS = ("das", "mvdr", "tiny_cnn", "tiny_vbf")
-ALL_BEAMFORMERS = ("das", "mvdr", "tiny_cnn", "tiny_vbf", "fcnn")
 
 
 def load_eval_models(
@@ -77,27 +67,6 @@ def eval_beamformers(
     return beamformers
 
 
-def beamform_with(
-    dataset,
-    method: str,
-    models: dict[str, Model] | None = None,
-) -> np.ndarray:
-    """Beamform ``dataset`` with any supported method -> complex IQ.
-
-    .. deprecated::
-        Use ``create_beamformer(method).beamform(dataset)`` instead.
-    """
-    warnings.warn(
-        "beamform_with is deprecated; use "
-        "repro.api.create_beamformer(method).beamform(dataset)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    require_in("method", method, ALL_BEAMFORMERS)
-    beamformer = eval_beamformers((method,), models)[method]
-    return beamformer.beamform(dataset)
-
-
 def run_contrast_experiment(
     dataset,
     methods: tuple[str, ...] = EVAL_BEAMFORMERS,
@@ -123,26 +92,6 @@ def run_resolution_experiment(
         iq = beamformer.beamform(dataset)
         results[method] = dataset_resolution(envelope_detect(iq), dataset)
     return results
-
-
-def quantized_iq(
-    model: Model,
-    dataset,
-    scheme_name: str,
-) -> np.ndarray:
-    """Tiny-VBF IQ image through the simulated FPGA datapath.
-
-    .. deprecated::
-        Use ``create_beamformer(f"tiny_vbf@{scheme_name}",
-        model=model).beamform(dataset)`` instead.
-    """
-    warnings.warn(
-        "quantized_iq is deprecated; use repro.api.create_beamformer("
-        "f'tiny_vbf@{scheme}', model=model).beamform(dataset)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return QuantizedBeamformer(scheme_name, model=model).beamform(dataset)
 
 
 def run_quantized_experiments(

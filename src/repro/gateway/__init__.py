@@ -1,16 +1,16 @@
-"""repro.gateway — network serving frontend over the serving engines.
+"""repro.gateway — network serving frontend over the serving engine.
 
 The gateway turns :mod:`repro.serve` into a service: remote probes
 stream raw RF frames over TCP and get beamformed IQ images back,
 bitwise identical to offline ``beamform`` (the wire round trip is
-byte-exact and the engines already guarantee serve/offline parity).
+byte-exact and the engine already guarantees serve/offline parity).
 
 ::
 
-    N clients ──TCP──▶ GatewayServer ──feed──▶ ServeEngine /
-     (sessions)         (admission,             ShardedServeEngine
-                         geometry               (micro-batching,
-                         negotiation)            sharding, telemetry)
+    N clients ──TCP──▶ GatewayServer ──feed──▶ ServeEngine
+     (sessions)         (admission,             (micro-batching,
+                         geometry                worker threads,
+                         negotiation)            telemetry)
 
 Pieces:
 

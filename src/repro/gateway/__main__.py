@@ -2,12 +2,12 @@
 
 Examples::
 
-    # DAS gateway on port 7355, threaded engine
+    # DAS gateway on port 7355, one worker thread
     PYTHONPATH=src python -m repro.gateway --port 7355
 
-    # Untrained Tiny-VBF over a 4-shard engine, shm transport
+    # Untrained Tiny-VBF over a 2-worker engine
     PYTHONPATH=src python -m repro.gateway --port 7355 \\
-        --beamformer tiny_vbf --untrained --engine sharded --workers 4
+        --beamformer tiny_vbf --untrained --workers 2
 
     # Loopback smoke: pick an ephemeral port, print it, serve
     PYTHONPATH=src python -m repro.gateway --port 0
@@ -43,7 +43,6 @@ from repro.serve.__main__ import (
     make_observability,
 )
 from repro.serve.engine import ServeEngine
-from repro.serve.sharding import ShardedServeEngine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,29 +76,12 @@ def make_engine(args: argparse.Namespace):
     one registry/tracer/event-log spans gateway and engine.
     """
     obs = make_observability(args)
-    if args.profile_kernels and args.engine != "sharded":
+    if args.profile_kernels:
         from repro.obs.profile import enable_kernel_profiling
 
         enable_kernel_profiling(obs.metrics, backend=args.backend)
-    beamformer = make_beamformer(args)
-    if args.engine == "sharded":
-        return ShardedServeEngine(
-            beamformer,
-            n_workers=args.workers,
-            transport=args.transport,
-            max_batch=args.max_batch,
-            max_latency_ms=args.max_latency_ms,
-            queue_capacity=args.queue_capacity,
-            backpressure="block",
-            shard_policy=args.shard_policy,
-            restart_workers=args.restart_workers,
-            log_every_s=args.log_every,
-            keep_images=False,
-            observability=obs,
-            profile_kernels=args.profile_kernels,
-        )
     return ServeEngine(
-        beamformer,
+        make_beamformer(args),
         max_batch=args.max_batch,
         max_latency_ms=args.max_latency_ms,
         queue_capacity=args.queue_capacity,
@@ -183,9 +165,6 @@ def run_gateway(args: argparse.Namespace) -> int:
         if controller is not None:
             controller.stop()
         server.stop()  # idempotent; no-op if start never completed
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     payload = server.stats()
     if controller is not None:
         payload["control"] = controller.status()

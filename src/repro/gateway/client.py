@@ -21,7 +21,7 @@ Typical use::
 Lower level, the client pipelines explicitly: :meth:`submit` sends one
 frame without waiting, :meth:`result` blocks until a given sequence
 number's image (results may return out of submission order — e.g. from
-a sharded engine — and are matched by ``seq``).  A server ``reject``
+a multi-worker engine — and are matched by ``seq``).  A server ``reject``
 surfaces as :class:`GatewayRejected`; a fatal server ``error`` as
 :class:`GatewayError` with the protocol error code.
 """

@@ -1,8 +1,7 @@
 """The gateway server: a TCP frontend over one serving engine.
 
 :class:`GatewayServer` multiplexes many concurrent client sessions onto
-a single :class:`~repro.serve.engine.ServeEngine` or
-:class:`~repro.serve.sharding.ShardedServeEngine`:
+a single :class:`~repro.serve.engine.ServeEngine`:
 
 ::
 
@@ -17,12 +16,11 @@ a single :class:`~repro.serve.engine.ServeEngine` or
   and pushed into the feed queue without ever blocking the loop.
 * The **pump thread** runs ``engine.serve`` over a generator that
   drains the feed queue — the engine neither knows nor cares that its
-  source is a network; micro-batching, geometry grouping, shard
-  routing and telemetry all apply unchanged.  Because a
-  :class:`GatewayFrame` carries the session's decoded probe/grid, the
-  existing geometry-aware paths (``MicroBatcher`` groups, the
-  ``ShardRouter`` ``geometry`` policy) see gateway traffic exactly
-  like in-process traffic.
+  source is a network; micro-batching, geometry grouping and
+  telemetry all apply unchanged.  Because a :class:`GatewayFrame`
+  carries the session's decoded probe/grid, the geometry-aware
+  ``MicroBatcher`` groups gateway traffic exactly like in-process
+  traffic.
 * The engine **sink** hands each image back to the loop thread
   (``run_coroutine_threadsafe``), which writes the ``result`` message
   on the owning session — out-of-order across sessions, matched by
@@ -80,9 +78,9 @@ class GatewayFrame:
     Exposes exactly the attributes the serving/beamforming stack reads
     (``rf``, ``probe``, ``grid``, ``angle_rad``, ``sound_speed_m_s``,
     ``t_start_s``, ``name`` — the duck type of
-    :meth:`repro.api.base.Beamformer.beamform`), so the engines, the
-    ``MicroBatcher`` and the sharded transport treat gateway traffic
-    identically to in-process datasets.  ``session``/``client_seq``
+    :meth:`repro.api.base.Beamformer.beamform`), so the engine and its
+    ``MicroBatcher`` treat gateway traffic identically to in-process
+    datasets.  ``session``/``client_seq``
     route the finished image back to its socket.
     """
 
@@ -96,8 +94,8 @@ class GatewayFrame:
     session: int
     client_seq: int
     #: the frame's :class:`repro.obs.Trace` when sampled at ingress
-    #: (``None`` otherwise).  The engines see it via the generic
-    #: ``trace`` attribute and attach their spans; the gateway owns the
+    #: (``None`` otherwise).  The engine sees it via the generic
+    #: ``trace`` attribute and attaches its spans; the gateway owns the
     #: trace and finishes it at response delivery.
     trace: object = None
 
@@ -158,10 +156,8 @@ class GatewayServer:
     """Network frontend multiplexing client sessions onto one engine.
 
     Args:
-        engine: a started-or-startable
-            :class:`~repro.serve.engine.ServeEngine` or
-            :class:`~repro.serve.sharding.ShardedServeEngine`.  Build
-            it with ``keep_images=False`` (the CLI does) so an
+        engine: the :class:`~repro.serve.engine.ServeEngine` to
+            front.  Build it with ``keep_images=False`` (the CLI does) so an
             unbounded gateway run holds no per-frame state, and with
             ``backpressure="block"`` — the gateway applies loss
             *before* the engine via explicit rejects, so engine-side
@@ -385,12 +381,12 @@ class GatewayServer:
     def _frames(self):
         """The engine source: drain the feed queue until it closes.
 
-        The get is polled, not unbounded: a sharded engine whose run
-        aborts (worker crash) closes its *ingest* side, but the pump
-        would still sit in this blocking get waiting for a next frame
-        that may never come — so the source also ends when the engine
-        reports itself broken, letting ``serve`` unwind and surface
-        its error promptly.
+        The get is polled, not unbounded: an engine whose worker failed
+        only discards the batches still queued to it, and the pump
+        would otherwise sit in this blocking get waiting for a next
+        frame that may never come — so the source also ends when the
+        engine reports itself broken, letting ``serve`` unwind and
+        surface its error promptly.
         """
         while True:
             try:

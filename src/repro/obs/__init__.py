@@ -5,19 +5,17 @@ tiers previously improvised separately:
 
 * **Metrics** (:mod:`repro.obs.metrics`): counter/gauge/histogram
   registry with Prometheus-text and JSON exporters, published into by
-  :class:`~repro.serve.telemetry.ServeTelemetry`, the sharded engine,
-  the gateway, and the kernel profiler; scraped via the gateway
+  :class:`~repro.serve.telemetry.ServeTelemetry`, the gateway, the
+  control loop, and the kernel profiler; scraped via the gateway
   ``metrics`` verb or ``python -m repro.obs metrics``.
 * **Tracing** (:mod:`repro.obs.tracing`): sampled per-frame span trees
-  (ingress → batch wait → shard → worker execute → collect → respond)
-  propagated across process boundaries as a 17-byte fixed struct, not
-  a pickled object; dumped via the gateway ``traces`` verb or
-  ``python -m repro.obs traces``.
+  (ingress → batch wait → worker execute → respond); dumped via the
+  gateway ``traces`` verb or ``python -m repro.obs traces``.
 * **Events + flight recorder** (:mod:`repro.obs.events`,
   :mod:`repro.obs.recorder`): JSON-lines lifecycle log (session
-  admit/reject, worker spawn/exit/restart, drain, drop-oldest,
-  engine-broken) feeding a bounded ring that engines dump on worker
-  crash or unclean drain.
+  admit/reject, worker add/retire, drain, drop-oldest, engine-broken)
+  feeding a bounded ring that the engine dumps to its log when a run
+  breaks.
 
 :class:`Observability` bundles the four pieces; engines and the
 gateway accept one bundle through their ``observability=`` parameter
@@ -45,22 +43,10 @@ from repro.obs.metrics import (
     validate_exposition,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.tracing import (
-    CTX_STRUCT,
-    FLAG_SAMPLED,
-    Span,
-    Trace,
-    Tracer,
-    pack_context,
-    render_trace,
-    span_tree,
-    unpack_context,
-)
+from repro.obs.tracing import Span, Trace, Tracer, render_trace, span_tree
 
 __all__ = [
-    "CTX_STRUCT",
     "DEFAULT_BUCKETS",
-    "FLAG_SAMPLED",
     "Counter",
     "EventLog",
     "FlightRecorder",
@@ -71,12 +57,10 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "pack_context",
     "parse_event_lines",
     "parse_prometheus",
     "render_trace",
     "span_tree",
-    "unpack_context",
     "validate_exposition",
 ]
 

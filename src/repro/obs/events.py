@@ -1,7 +1,7 @@
 """Structured JSON-lines event log for lifecycle events.
 
-Serving-tier lifecycle — session admit/reject, worker spawn/exit/
-restart, drain begin/complete, drop-oldest evictions, engine-broken —
+Serving-tier lifecycle — session admit/reject, worker add/retire,
+drain begin/complete, drop-oldest evictions, engine-broken —
 is emitted as one JSON object per line through :class:`EventLog`,
 replacing scattered log strings with a machine-parseable stream.  Each
 event also feeds the ``repro_events_total{event=...}`` counter and the

@@ -2,8 +2,9 @@
 
 One :class:`MetricsRegistry` is the single sink every tier publishes
 into — :class:`~repro.serve.telemetry.ServeTelemetry` (per-stage
-latencies, frame counters), the sharded engine (worker lifecycle), the
-gateway (session/frame admission), and the opt-in kernel profiler
+latencies, frame counters, worker add/retire), the gateway
+(session/frame admission), the control loop, and the opt-in kernel
+profiler
 (:mod:`repro.obs.profile`).  The registry exports two formats:
 
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
@@ -11,12 +12,6 @@ gateway (session/frame admission), and the opt-in kernel profiler
   scraped by ``python -m repro.obs metrics``,
 * :meth:`MetricsRegistry.as_dict` — a JSON-safe nested dict, the shape
   carried in the ``metrics_ok`` reply header.
-
-Cross-process folding: a shard worker accumulates into its own local
-registry and ships :meth:`MetricsRegistry.state` back over the result
-queue at ``end_run``; the parent folds it in with
-:meth:`MetricsRegistry.merge`, so per-kernel timings measured inside
-worker processes land in the same histograms the operator scrapes.
 
 The module also carries :func:`parse_prometheus` — a dependency-free
 promtext parser used by the CI scrape validation and the obs CLI, so
@@ -31,7 +26,6 @@ the serving tiers can depend on without cycles.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from typing import Iterable, Iterator
@@ -132,10 +126,6 @@ class Metric:
         """Yield ``(sample_suffix_or_name, label_values, value)`` rows."""
         raise NotImplementedError
 
-    def state(self) -> dict:
-        """JSON-safe internal state (for :meth:`MetricsRegistry.state`)."""
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """A monotonically increasing sum (Prometheus ``counter``)."""
@@ -163,13 +153,6 @@ class Counter(Metric):
         """One row per labelled child."""
         for key, child in sorted(self._children.items()):
             yield self.name, key, child[0]
-
-    def state(self) -> dict:
-        """``{label-values-json: total}``."""
-        return {
-            json.dumps(key): child[0]
-            for key, child in self._children.items()
-        }
 
 
 class Gauge(Metric):
@@ -201,13 +184,6 @@ class Gauge(Metric):
         """One row per labelled child."""
         for key, child in sorted(self._children.items()):
             yield self.name, key, child[0]
-
-    def state(self) -> dict:
-        """``{label-values-json: value}``."""
-        return {
-            json.dumps(key): child[0]
-            for key, child in self._children.items()
-        }
 
 
 class _HistogramChild:
@@ -293,20 +269,6 @@ class Histogram(Metric):
             yield self.name + "_sum", key, child.total
             yield self.name + "_count", key, float(child.count)
 
-    def state(self) -> dict:
-        """``{label-values-json: {counts, sum, count}}`` (+ bucket bounds)."""
-        return {
-            "buckets": list(self.buckets),
-            "series": {
-                json.dumps(key): {
-                    "counts": list(child.counts),
-                    "sum": child.total,
-                    "count": child.count,
-                }
-                for key, child in self._children.items()
-            },
-        }
-
 
 class MetricsRegistry:
     """Thread-safe home of every metric family one process exports.
@@ -370,18 +332,6 @@ class MetricsRegistry:
         with self._lock:
             return tuple(sorted(self._metrics))
 
-    def reset(self) -> None:
-        """Zero every family's series, keeping registrations intact.
-
-        Holders of family objects (e.g. a worker's profiling wrapper)
-        keep observing into the same families.  Used by shard workers
-        to ship per-run deltas: ``state()`` then ``reset()`` at each
-        ``end_run``, so the parent can merge without double counting.
-        """
-        with self._lock:
-            for metric in self._metrics.values():
-                metric._children.clear()
-
     # -- exporters -------------------------------------------------------
 
     def render_prometheus(self) -> str:
@@ -431,63 +381,6 @@ class MetricsRegistry:
                     "samples": samples,
                 }
         return out
-
-    # -- cross-process folding -------------------------------------------
-
-    def state(self) -> dict:
-        """Serializable registry contents for cross-process transfer."""
-        with self._lock:
-            return {
-                name: {
-                    "kind": metric.kind,
-                    "help": metric.help,
-                    "labels": list(metric.label_names),
-                    "data": metric.state(),
-                }
-                for name, metric in self._metrics.items()
-            }
-
-    def merge(self, state: dict) -> None:
-        """Fold a :meth:`state` payload (e.g. from a shard worker) in.
-
-        Counters and histogram series *add*; gauges take the incoming
-        value (last writer wins — gauges describe a current level, not
-        a total).
-        """
-        for name, entry in state.items():
-            kind = entry["kind"]
-            labels = tuple(entry["labels"])
-            if kind == "counter":
-                counter = self.counter(name, entry["help"], labels)
-                for key_json, total in entry["data"].items():
-                    key = tuple(json.loads(key_json))
-                    counter.inc(total, **dict(zip(labels, key)))
-            elif kind == "gauge":
-                gauge = self.gauge(name, entry["help"], labels)
-                for key_json, value in entry["data"].items():
-                    key = tuple(json.loads(key_json))
-                    gauge.set(value, **dict(zip(labels, key)))
-            elif kind == "histogram":
-                data = entry["data"]
-                histogram = self.histogram(
-                    name, entry["help"], labels,
-                    buckets=tuple(data["buckets"]),
-                )
-                with self._lock:
-                    for key_json, series in data["series"].items():
-                        key = tuple(json.loads(key_json))
-                        child = histogram._child(dict(zip(labels, key)))
-                        if child.buckets != tuple(data["buckets"]):
-                            raise ValueError(
-                                f"histogram {name!r} bucket mismatch "
-                                f"on merge"
-                            )
-                        for index, count in enumerate(series["counts"]):
-                            child.counts[index] += count
-                        child.total += series["sum"]
-                        child.count += series["count"]
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in state")
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,7 @@ attribute), so the inherited pickle-by-name ``__reduce__`` still
 resolves correctly across process boundaries; it defines **no** pickle
 hooks of its own (analysis rule RA004 forbids them on ArrayBackend
 subclasses).  A child process that unpickles a beamformer therefore
-gets its own plain registered backend — to profile *inside* shard
-workers, the sharded engine passes ``profile_kernels=True`` and each
-worker wraps its local default backend with a local registry whose
-state is folded back to the parent at end-of-run.
+gets its own plain registered backend, unprofiled.
 
 This module is the only place :mod:`repro.obs` touches
 :mod:`repro.backend`; the rest of the package is dependency-free.

@@ -3,8 +3,8 @@
 Post-mortem context for crashes: the serving tiers continuously feed
 lifecycle events (via :class:`~repro.obs.events.EventLog`) and
 completed traces (via :class:`~repro.obs.tracing.Tracer`) into a
-bounded deque; when a worker crashes or a drain aborts, the engine
-dumps the ring — the last N things that happened, in order — to the
+bounded deque; when a run breaks (a worker or batcher raises), the
+engine dumps the ring — the last N things that happened, in order — to the
 process log.  Bounded by construction (RA002's spirit), so an
 always-on recorder costs a fixed amount of memory.
 """
@@ -53,8 +53,8 @@ class FlightRecorder:
         """The ring as JSON lines (``{"kind": ..., **record}`` per line).
 
         This is the post-mortem format documented in
-        ``docs/observability.md``; engines log it on worker crash and
-        unclean drain.
+        ``docs/observability.md``; the engine logs it when a run
+        breaks.
         """
         lines = []
         for kind, record in self.entries():

@@ -1,16 +1,8 @@
-"""Per-frame tracing: spans, traces, sampling, and the wire context.
+"""Per-frame tracing: spans, traces and sampling.
 
 One served frame yields one :class:`Trace` — an ordered tree of
 :class:`Span` records covering ingress (gateway or source pump),
-batching wait, shard dispatch, worker execute (in another process),
-collection, and response.  The cross-process hop does **not** pickle
-span objects: the parent packs a compact fixed-size struct
-(:data:`CTX_STRUCT`, 17 bytes — trace id, parent span id, flags) into
-the batch envelope, and the worker reports back *relative* span
-offsets that the collector rebases onto the parent's clock.  Worker
-and parent monotonic clocks share no epoch, so rebasing anchors the
-worker's window to the collector's receive time minus the reported
-execute duration.
+batching wait, worker execute, and response.
 
 Sampling is decided once at ingress (``Tracer.start_trace`` returns
 ``None`` for unsampled frames) so the full pipeline pays only a
@@ -26,29 +18,9 @@ from __future__ import annotations
 import collections
 import os
 import random
-import struct
 import threading
 import time
 from typing import Iterator
-
-#: Wire format of a trace context: ``(trace_id: u64, parent_span_id:
-#: u64, flags: u8)`` big-endian — 17 bytes, fixed size, no pickle.
-#: Rides in the sharded batch envelope next to each frame payload.
-CTX_STRUCT = struct.Struct("!QQB")
-
-#: Flag bit: the frame is sampled (a context is only ever packed for
-#: sampled frames today, but the bit keeps the struct self-describing).
-FLAG_SAMPLED = 0x01
-
-
-def pack_context(trace_id: int, parent_span_id: int, flags: int = FLAG_SAMPLED) -> bytes:
-    """Pack a trace context into its 17-byte wire form."""
-    return CTX_STRUCT.pack(trace_id, parent_span_id, flags)
-
-
-def unpack_context(blob: bytes) -> tuple[int, int, int]:
-    """Unpack a 17-byte wire context into ``(trace_id, parent, flags)``."""
-    return CTX_STRUCT.unpack(blob)
 
 
 class _SystemClock:
@@ -80,7 +52,6 @@ class Span:
         parent_id: int,
         start: float,
         end: float | None = None,
-        process: int | None = None,
         attrs: dict | None = None,
     ) -> None:
         """Record the span's identity and start; ``end`` may come later."""
@@ -89,7 +60,7 @@ class Span:
         self.parent_id = parent_id
         self.start = start
         self.end = end
-        self.process = os.getpid() if process is None else process
+        self.process = os.getpid()
         self.attrs = attrs or {}
 
     @property
@@ -200,18 +171,16 @@ class Trace:
         start: float,
         end: float,
         parent: int = 0,
-        process: int | None = None,
         **attrs: object,
     ) -> int:
         """Record a completed span retroactively; returns its id.
 
         This is the workhorse for pipeline stages whose endpoints are
-        already measured (queue wait, shard execute) — both timestamps
-        are known, so nothing is ever left open.
+        already measured (queue wait, execute) — both timestamps are
+        known, so nothing is ever left open.
         """
         span = Span(
-            name, self._new_id(), parent, start,
-            end=end, process=process, attrs=dict(attrs),
+            name, self._new_id(), parent, start, end=end, attrs=dict(attrs)
         )
         with self._lock:
             self._spans.append(span)
@@ -224,8 +193,8 @@ class Trace:
     def finish(self, end: float | None = None, **attrs: object) -> None:
         """Close the root span and hand the trace to its tracer.
 
-        Idempotent: requeued duplicates and orphaned deliveries may
-        race to finish; only the first call publishes.
+        Idempotent: an orphaned delivery may race the owner to finish;
+        only the first call publishes.
         """
         with self._lock:
             if self._finished:

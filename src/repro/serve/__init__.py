@@ -21,20 +21,13 @@ Pieces (each importable on its own):
                scene drift, frame rate and jitter),
 * scheduler  — :class:`MicroBatcher`: groups in-flight frames by
                acquisition geometry, flushes on ``max_batch`` or
-               ``max_latency_ms``; :class:`ShardRouter`: batch→shard
-               placement for the sharded engine,
-* engine     — :class:`ServeEngine`: worker pool, bounded queues with
-               explicit backpressure (block / drop-oldest), graceful
-               shutdown,
-* sharding   — :class:`ShardedServeEngine`: the same pipeline sharded
-               over N worker *processes* (GIL-free scaling), fed
-               through shared-memory frame transport,
-* shm        — :class:`ShmRing` / :class:`FrameTransport`:
-               shared-memory ring buffers with a pickle fallback,
+               ``max_latency_ms``,
+* engine     — :class:`ServeEngine`: worker-thread pool, bounded
+               queues with explicit backpressure (block / drop-oldest),
+               graceful shutdown,
 * telemetry  — :class:`ServeTelemetry`: per-stage latency percentiles
-               (bounded reservoirs), per-shard breakdown, worker
-               liveness/restart counters, throughput, queue depth,
-               plan-cache hit rate,
+               (bounded reservoirs), worker add/retire counters,
+               throughput, queue depth, plan-cache hit rate,
 * control    — :class:`ServoController`: telemetry-driven control loop
                that steers batching, admission and worker count toward
                an explicit :class:`SLO` (docs/autotuning.md),
@@ -42,13 +35,10 @@ Pieces (each importable on its own):
 * clock      — :class:`MonotonicClock` / :class:`FakeClock` (tests).
 
 CLI: ``python -m repro.serve --beamformer tiny_vbf --source probe``
-(add ``--engine sharded --workers 4 --transport shm`` for processes,
-``--gateway PORT`` to front the engine with the TCP gateway of
-:mod:`repro.gateway`).
+(add ``--workers N`` for more worker threads, ``--gateway PORT`` to
+front the engine with the TCP gateway of :mod:`repro.gateway`).
 Bench: ``benchmarks/bench_serve.py`` (single-frame loop vs micro-batched
-engine; emits ``BENCH_serve.json``) and
-``benchmarks/bench_serve_sharded.py`` (threaded vs sharded; emits
-``BENCH_serve_sharded.json``).
+engine; emits ``BENCH_serve.json``).
 """
 
 from repro.serve.clock import Clock, FakeClock, MonotonicClock
@@ -65,23 +55,7 @@ from repro.serve.queues import (
     QueueClosed,
     QueueTimeout,
 )
-from repro.serve.scheduler import (
-    SHARD_POLICIES,
-    MicroBatch,
-    MicroBatcher,
-    PendingFrame,
-    ShardRouter,
-)
-from repro.serve.sharding import ShardedServeEngine, WorkerCrashed
-from repro.serve.shm import (
-    TRANSPORTS,
-    FrameTransport,
-    PickledPayload,
-    ShmRing,
-    SlotHandle,
-    TransportClosed,
-    TransportFull,
-)
+from repro.serve.scheduler import MicroBatch, MicroBatcher, PendingFrame
 from repro.serve.sources import FrameSource, ProbeSource, ReplaySource
 from repro.serve.telemetry import LatencyStats, ServeTelemetry
 
@@ -93,29 +67,18 @@ __all__ = [
     "ControlBounds",
     "FakeClock",
     "FrameSource",
-    "FrameTransport",
     "LatencyStats",
     "MicroBatch",
     "MicroBatcher",
     "MonotonicClock",
     "PendingFrame",
-    "PickledPayload",
     "ProbeSource",
     "QueueClosed",
     "QueueTimeout",
     "ReplaySource",
-    "SHARD_POLICIES",
     "SLO",
     "ServeEngine",
     "ServeReport",
     "ServeTelemetry",
     "ServoController",
-    "ShardRouter",
-    "ShardedServeEngine",
-    "ShmRing",
-    "SlotHandle",
-    "TRANSPORTS",
-    "TransportClosed",
-    "TransportFull",
-    "WorkerCrashed",
 ]

@@ -17,10 +17,6 @@ Examples::
     PYTHONPATH=src python -m repro.serve --beamformer das \\
         --backend numpy-fast --frames 32
 
-    # Process-sharded: 4 worker processes over shared-memory transport
-    PYTHONPATH=src python -m repro.serve --beamformer tiny_vbf \\
-        --untrained --engine sharded --workers 4 --transport shm
-
     # Serve the same engine over TCP instead of a local source
     PYTHONPATH=src python -m repro.serve --beamformer das --gateway 7355
 
@@ -41,9 +37,6 @@ from repro.api import create_beamformer, parse_spec
 from repro.backend import available_backends
 from repro.serve.engine import ServeEngine
 from repro.serve.queues import BACKPRESSURE_POLICIES
-from repro.serve.scheduler import SHARD_POLICIES
-from repro.serve.sharding import ShardedServeEngine
-from repro.serve.shm import TRANSPORTS
 from repro.serve.sources import ProbeSource, ReplaySource
 from repro.ultrasound import (
     phantom_contrast,
@@ -107,37 +100,10 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="block",
     )
     parser.add_argument(
-        "--engine",
-        choices=("threaded", "sharded"),
-        default="threaded",
-        help="threaded: in-process worker threads (ServeEngine); "
-        "sharded: worker processes over shared-memory transport "
-        "(ShardedServeEngine)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker threads (threaded engine) or processes (sharded)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="shm",
-        help="sharded engine only: frame/image transport — shm "
-        "(shared-memory rings) or pickle (queues)",
-    )
-    parser.add_argument(
-        "--shard-policy",
-        choices=SHARD_POLICIES,
-        default="round_robin",
-        help="sharded engine only: batch->worker placement",
-    )
-    parser.add_argument(
-        "--restart-workers",
-        action="store_true",
-        help="sharded engine only: respawn crashed workers and requeue "
-        "their in-flight batches instead of failing the run",
+        help="beamforming worker threads",
     )
     parser.add_argument(
         "--log-every",
@@ -205,8 +171,8 @@ def add_obs_args(parser: argparse.ArgumentParser) -> None:
         "--event-log",
         default=None,
         metavar="PATH",
-        help="append lifecycle events (session admit, worker restart, "
-        "drain, ...) to this JSON-lines file",
+        help="append lifecycle events (session admit, worker add/"
+        "retire, drain, ...) to this JSON-lines file",
     )
 
 
@@ -232,9 +198,8 @@ def add_control_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--autoscale",
         action="store_true",
-        help="let the control loop add/retire workers at runtime "
-        "(requires --slo-p99; sharded engine scales processes, "
-        "threaded engine scales threads)",
+        help="let the control loop add/retire worker threads at "
+        "runtime (requires --slo-p99)",
     )
 
 
@@ -385,42 +350,24 @@ def main(argv: list[str] | None = None) -> int:
         format="%(asctime)s %(name)s: %(message)s",
     )
     obs = make_observability(args)
-    if args.profile_kernels and args.engine != "sharded":
+    if args.profile_kernels:
         # Wrap the registered backend *before* the beamformer resolves
-        # it, so every kernel the in-process workers dispatch is timed.
-        # (The sharded engine profiles inside its worker processes via
-        # profile_kernels= instead.)
+        # it, so every kernel the workers dispatch is timed.
         from repro.obs.profile import enable_kernel_profiling
 
         enable_kernel_profiling(obs.metrics, backend=args.backend)
     beamformer = make_beamformer(args)
     source = make_source(args)
-    if args.engine == "sharded":
-        engine = ShardedServeEngine(
-            beamformer,
-            n_workers=args.workers,
-            transport=args.transport,
-            max_batch=args.max_batch,
-            max_latency_ms=args.max_latency_ms,
-            queue_capacity=args.queue_capacity,
-            backpressure=args.backpressure,
-            shard_policy=args.shard_policy,
-            restart_workers=args.restart_workers,
-            log_every_s=args.log_every,
-            observability=obs,
-            profile_kernels=args.profile_kernels,
-        )
-    else:
-        engine = ServeEngine(
-            beamformer,
-            max_batch=args.max_batch,
-            max_latency_ms=args.max_latency_ms,
-            queue_capacity=args.queue_capacity,
-            backpressure=args.backpressure,
-            n_workers=args.workers,
-            log_every_s=args.log_every,
-            observability=obs,
-        )
+    engine = ServeEngine(
+        beamformer,
+        max_batch=args.max_batch,
+        max_latency_ms=args.max_latency_ms,
+        queue_capacity=args.queue_capacity,
+        backpressure=args.backpressure,
+        n_workers=args.workers,
+        log_every_s=args.log_every,
+        observability=obs,
+    )
     telemetry = None
     controller = None
     if args.slo_p99 is not None:
@@ -434,21 +381,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         controller.start()
     try:
-        if args.engine == "sharded":
-            with engine:
-                report = engine.serve(source, telemetry=telemetry)
-        else:
-            report = engine.serve(source, telemetry=telemetry)
+        report = engine.serve(source, telemetry=telemetry)
     finally:
         if controller is not None:
             controller.stop()
     payload = {
         "beamformer": beamformer.describe(),
-        "engine": args.engine,
         "workers": args.workers,
-        "transport": (
-            args.transport if args.engine == "sharded" else None
-        ),
         "source": args.source,
         "preset": args.preset,
         "frames": args.frames,

@@ -185,9 +185,9 @@ class ServoController:
             ``control_snapshot`` reader.
         engine: the engine to actuate — anything exposing
             ``set_batching`` and (for autoscale) ``add_worker`` /
-            ``retire_worker`` / ``live_workers``; both
-            :class:`~repro.serve.engine.ServeEngine` and
-            :class:`~repro.serve.sharding.ShardedServeEngine` qualify.
+            ``retire_worker`` (each returning whether it acted) and
+            ``live_workers``, as :class:`~repro.serve.engine.ServeEngine`
+            does.
         gateway: optional :class:`~repro.gateway.server.GatewayServer`
             whose admission credits the controller may shed/restore.
         bounds: actuation limits (default :class:`ControlBounds`).
@@ -496,7 +496,7 @@ class ServoController:
             and saturated
             and live < bounds.max_workers
         ):
-            if engine.add_worker() is not None:
+            if engine.add_worker():
                 self._record(
                     "scaling", "add_worker", live + 1,
                     f"{axis.breach_streak} breached ticks with "
@@ -510,7 +510,7 @@ class ServoController:
             and depth == 0
             and p99_s < 0.5 * bounds.headroom * self.slo.p99_latency_s
         ):
-            if engine.retire_worker() is not None:
+            if engine.retire_worker():
                 self._record(
                     "scaling", "retire_worker", live - 1,
                     f"{axis.healthy_streak} idle ticks: shrink the "

@@ -27,6 +27,13 @@ queue closes, the batcher flushes every pending frame, workers drain the
 batch queue and exit on sentinels — no frame is lost (asserted by the
 tier-1 serve tests).
 
+Failure is contained to the run, not the process: an exception in a
+worker or the batcher marks the engine :attr:`~ServeEngine.broken`,
+dumps the flight recorder to the log and is re-raised by ``serve``.
+Workers share the process, so a crash below Python (a segfault in a
+compiled kernel) ends the whole process; restarting it is the process
+supervisor's job (DESIGN.md §5).
+
 Output parity: frames are normalized per frame and batch forwards are
 batch-invariant (see ``repro.nn.layers.dense``), so a served image is
 bit-for-bit identical to ``beamformer.beamform(frame)`` offline.
@@ -77,17 +84,13 @@ def run_batcher(
 ) -> None:
     """Drain ``ingest`` through ``scheduler`` until the queue closes.
 
-    The scheduling loop shared by the threaded :class:`ServeEngine` and
-    the process-sharded :class:`~repro.serve.sharding.ShardedServeEngine`
-    — both batch identically; they differ only in what ``dispatch`` does
-    with a due :class:`MicroBatch` (local queue vs worker-process
-    transport).  The scheduler is owned (and supplied) by the engine so
-    its limits stay reachable — and runtime-mutable via
-    ``engine.set_batching`` — while the loop runs; its flush limits are
-    re-read on every decision.  Returns after the closing flush has
-    dispatched every pending frame; exceptions (from keying a frame or
-    from ``dispatch``) propagate to the caller, which owns thread-death
-    handling.
+    ``dispatch`` receives every due :class:`MicroBatch`.  The scheduler
+    is owned (and supplied) by the engine so its limits stay reachable
+    — and runtime-mutable via ``engine.set_batching`` — while the loop
+    runs; its flush limits are re-read on every decision.  Returns
+    after the closing flush has dispatched every pending frame;
+    exceptions (from keying a frame or from ``dispatch``) propagate to
+    the caller, which owns thread-death handling.
     """
     clock = scheduler.clock
     while True:
@@ -131,11 +134,11 @@ def pump_source(
 ) -> int:
     """Feed ``source`` into the ingest queue; the producer half of serve.
 
-    Shared by both engines: assigns sequence numbers, applies the
-    queue's backpressure policy (recording evictions in ``dropped`` and
-    telemetry), and stops early if the queue is closed under it (a dead
-    batcher must stop the producer, not deadlock it).  Returns the
-    number of frames submitted.  The caller still owns ``ingest.close``
+    Assigns sequence numbers, applies the queue's backpressure policy
+    (recording evictions in ``dropped`` and telemetry), and stops early
+    if the queue is closed under it (a dead batcher must stop the
+    producer, not deadlock it).  Returns the number of frames
+    submitted.  The caller still owns ``ingest.close``
     — typically in a ``finally`` so shutdown happens on source errors
     too.
 
@@ -282,10 +285,8 @@ class ServeEngine:
         run (failed workers keep draining so nothing deadlocks), but a
         push-style caller with a potentially unbounded source — the
         gateway — needs to *see* the failure to stop feeding; it polls
-        this, mirroring :attr:`ShardedServeEngine.broken
-        <repro.serve.sharding.ShardedServeEngine.broken>`.  Unlike the
-        sharded engine's flag this one resets on the next ``serve``
-        call (a threaded run failure does not poison the engine).
+        this.  The flag resets on the next ``serve`` call: a failed run
+        does not poison the engine.
         """
         return bool(self._run_errors)
 
@@ -376,13 +377,30 @@ class ServeEngine:
 
     # -- pipeline stages -------------------------------------------------
 
+    def _fail(self, ctx: dict, exc: BaseException) -> None:
+        """Record a stage failure: this is where :attr:`broken` turns true.
+
+        The first failure of a run emits ``engine_broken`` and dumps
+        the flight recorder to the log, while the ring still holds the
+        events and traces that led up to it.
+        """
+        with ctx["results_lock"]:
+            errors: list[BaseException] = ctx["errors"]
+            errors.append(exc)
+            first = len(errors) == 1
+        if not first:
+            return
+        self.obs.events.emit(
+            "engine_broken", engine="threaded", error=type(exc).__name__
+        )
+        dump = self.obs.recorder.dump()
+        if dump:
+            logger.warning(
+                "flight recorder dump (%s):\n%s", type(exc).__name__, dump
+            )
+
     def _batcher_loop(
-        self,
-        scheduler: MicroBatcher,
-        ingest: BoundedQueue,
-        batches: BoundedQueue,
-        telemetry: ServeTelemetry,
-        errors: list[BaseException],
+        self, scheduler: MicroBatcher, ingest: BoundedQueue, ctx: dict
     ) -> None:
         """Drain ingest into the scheduler; dispatch due micro-batches.
 
@@ -391,6 +409,8 @@ class ServeEngine:
         producer — and still delivers the shutdown token: a dead
         batcher must degrade into a raised exception, never a deadlock.
         """
+        batches: BoundedQueue = ctx["batches"]
+        telemetry: ServeTelemetry = ctx["telemetry"]
 
         def dispatch(batch: MicroBatch) -> None:
             batches.put(batch)
@@ -399,7 +419,7 @@ class ServeEngine:
         try:
             run_batcher(ingest, dispatch, scheduler)
         except BaseException as exc:  # re-raised by serve() after join
-            errors.append(exc)
+            self._fail(ctx, exc)
             ingest.close()
         finally:
             # One token shuts down the whole pool: each worker re-puts
@@ -421,7 +441,6 @@ class ServeEngine:
         results_lock: threading.Lock = ctx["results_lock"]
         telemetry: ServeTelemetry = ctx["telemetry"]
         sink: Sink | None = ctx["sink"]
-        errors: list[BaseException] = ctx["errors"]
         log_state: dict = ctx["log_state"]
         failed = False
         while True:
@@ -472,8 +491,7 @@ class ServeEngine:
                     ):
                         frame.trace.finish(status="ok")
             except BaseException as exc:  # propagated after join
-                with results_lock:
-                    errors.append(exc)
+                self._fail(ctx, exc)
                 failed = True
                 continue
             self._maybe_log(telemetry, log_state)
@@ -546,7 +564,7 @@ class ServeEngine:
 
         batcher = threading.Thread(
             target=self._batcher_loop,
-            args=(scheduler, ingest, batches, telemetry, errors),
+            args=(scheduler, ingest, ctx),
             name="serve-batcher",
             daemon=True,
         )
@@ -581,10 +599,6 @@ class ServeEngine:
                 worker.join()
 
         if errors:
-            self.obs.events.emit(
-                "engine_broken", engine="threaded",
-                error=type(errors[0]).__name__,
-            )
             raise errors[0]
 
         images: list[np.ndarray | None] = [

@@ -25,7 +25,6 @@ testable with a fake clock and no sleeps.  Thread ownership lives in
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -72,101 +71,6 @@ class MicroBatch:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-
-SHARD_POLICIES = ("round_robin", "geometry")
-
-
-class ShardRouter:
-    """Assign dispatched micro-batches to one of ``n_shards`` workers.
-
-    Policies:
-
-    * ``"round_robin"`` (default) — batches rotate across shards in
-      dispatch order.  Best load balance, and the right choice for the
-      common serving pattern of one hot geometry: consecutive batches of
-      the same stream land on *different* workers and execute in
-      parallel.
-    * ``"geometry"`` — a batch's geometry key (stably hashed) pins it to
-      one shard.  Every frame of a given acquisition geometry hits the
-      same worker, so each worker's ToF-plan cache holds only its own
-      geometries — the precursor to per-probe shard affinity for
-      multi-probe fan-out, at the cost of imbalance when one geometry
-      dominates.
-
-    The *active shard set* is runtime-mutable: :meth:`set_shards`
-    replaces it in one atomic tuple assignment, so the engine (or the
-    :class:`~repro.serve.control.ServoController` behind it) can retire
-    a draining worker or admit a freshly spawned one without pausing
-    dispatch.  ``route`` reads the tuple once per call; beyond that the
-    router is a pure function plus one counter, owned by the engine's
-    batcher thread.
-    """
-
-    def __init__(self, n_shards: int, policy: str = "round_robin") -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if policy not in SHARD_POLICIES:
-            raise ValueError(
-                f"policy must be one of {SHARD_POLICIES}, got {policy!r}"
-            )
-        self.policy = policy
-        self._shards: tuple[int, ...] = tuple(range(n_shards))
-        self._next = 0
-
-    @property
-    def n_shards(self) -> int:
-        """Number of currently routable shards."""
-        return len(self._shards)
-
-    @property
-    def shards(self) -> tuple[int, ...]:
-        """The active shard ids, ascending."""
-        return self._shards
-
-    def set_shards(self, shards) -> None:
-        """Replace the active shard set (live worker add/retire).
-
-        The new set is sorted and installed as a single tuple
-        assignment, so a concurrent ``route`` sees either the old or
-        the new set, never a partial one.  Geometry pinning is over the
-        sorted tuple, so a given geometry stays on one shard *for a
-        given set*; retiring a shard remaps only the geometries that
-        hashed onto removed or shifted positions.
-        """
-        shards = tuple(sorted(set(int(shard) for shard in shards)))
-        if not shards:
-            raise ValueError("active shard set must not be empty")
-        self._shards = shards
-
-    def route(self, batch: MicroBatch) -> int:
-        """Shard id (a member of :attr:`shards`) for one batch."""
-        shards = self._shards  # one read: set_shards may swap it
-        if self.policy == "geometry":
-            return shards[_stable_hash(batch.geometry) % len(shards)]
-        shard = shards[self._next % len(shards)]
-        self._next = (self._next + 1) % len(shards)
-        return shard
-
-
-def _stable_hash(key: tuple) -> int:
-    """Process-stable hash over a geometry key's byte content.
-
-    ``hash()`` on bytes is randomized per interpreter (PYTHONHASHSEED),
-    which would make geometry→shard placement differ between a parent
-    and its spawned children or across restarts; shard placement should
-    be a property of the *geometry*, not of the process.  ``crc32``
-    runs at C speed — the key embeds the grid axes' raw bytes
-    (tens of KiB), and this runs per dispatched batch on the batcher
-    thread.
-    """
-    acc = 0
-    for part in key:
-        payload = (
-            part if isinstance(part, bytes) else repr(part).encode()
-        )
-        acc = zlib.crc32(payload, acc)
-    return acc
 
 
 class MicroBatcher:

@@ -18,17 +18,10 @@ as one dict (the shape serialized into ``BENCH_serve.json``);
 ``log_line()`` compresses it into the periodic one-liner the engine
 logs.
 
-Sharded serving (:mod:`repro.serve.sharding`) extends the picture along
-two axes:
-
-* **per-shard stages** — :meth:`ServeTelemetry.batch_done` accepts a
-  ``shard`` label; every labelled batch additionally lands in that
-  shard's own ``execute``/``total`` histograms, so ``stats()["shards"]``
-  exposes p50/p95/p99 *per worker process* next to the aggregate,
-* **worker lifecycle counters** — :meth:`worker_spawned`,
-  :meth:`worker_exited` and :meth:`worker_restarted` feed
-  ``stats()["workers"]`` (spawned / live / clean exits / restarts), the
-  liveness signal the nightly soak test asserts on.
+Worker lifecycle counters — :meth:`worker_spawned` and
+:meth:`worker_exited`, fed by the engine's live ``add_worker`` /
+``retire_worker`` — make up ``stats()["workers"]`` (spawned / exited /
+live).
 
 Latency samples are held in a **bounded reservoir**
 (:class:`LatencyStats`): the first ``cap`` samples are kept exactly,
@@ -170,7 +163,7 @@ class ServeTelemetry:
             )
             self._m_workers = metrics.counter(
                 "repro_serve_workers_total",
-                "Worker-process lifecycle events (sharded engine).",
+                "Worker add/retire events.",
                 labels=("event",),
             )
         self._stages = {
@@ -178,7 +171,6 @@ class ServeTelemetry:
             "execute": LatencyStats(),
             "total": LatencyStats(),
         }
-        self._shards: dict[object, dict] = {}
         self._batch_sizes = LatencyStats()
         self._queue_high_water: dict[str, int] = {}
         # Control window: parallel accumulators reset on every
@@ -202,9 +194,7 @@ class ServeTelemetry:
         self._last_done: float | None = None
         self._workers_spawned = 0
         self._workers_exited = 0
-        self._workers_restarted = 0
         self._cache_start = tof_plan_cache_stats()
-        self._shard_caches: dict[object, dict] = {}
 
     # -- recording -------------------------------------------------------
 
@@ -235,8 +225,6 @@ class ServeTelemetry:
         submit_times: list[float],
         dispatch_time: float,
         done_time: float,
-        shard: object | None = None,
-        execute_s: float | None = None,
     ) -> None:
         """Record one executed micro-batch's per-frame stage latencies.
 
@@ -244,17 +232,8 @@ class ServeTelemetry:
             submit_times: per-frame submit timestamps (engine clock).
             dispatch_time: when the batch left the scheduler.
             done_time: when its images were available.
-            shard: optional worker/shard label; labelled batches also
-                land in that shard's own histograms.
-            execute_s: compute duration measured *inside* the worker.
-                Sharded engines pass this because worker-process clocks
-                only share durations, not epochs, with the parent;
-                ``None`` falls back to ``done_time - dispatch_time``.
         """
-        execute = (
-            done_time - dispatch_time if execute_s is None
-            else float(execute_s)
-        )
+        execute = done_time - dispatch_time
         if self._m_batch is not None:
             self._m_batch.observe(len(submit_times))
             for submitted in submit_times:
@@ -269,18 +248,6 @@ class ServeTelemetry:
             self._seq += 1
             self._batch_sizes.record(len(submit_times))
             self._window_batch_sizes.record(len(submit_times))
-            shard_stats = None
-            if shard is not None:
-                shard_stats = self._shards.setdefault(
-                    shard,
-                    {
-                        "frames": 0,
-                        "batches": 0,
-                        "execute": LatencyStats(),
-                        "total": LatencyStats(),
-                    },
-                )
-                shard_stats["batches"] += 1
             for submitted in submit_times:
                 total = done_time - submitted
                 wait = max(0.0, total - execute)
@@ -290,10 +257,6 @@ class ServeTelemetry:
                 self._window_stages["queue_wait"].record(wait)
                 self._window_stages["execute"].record(execute)
                 self._window_stages["total"].record(total)
-                if shard_stats is not None:
-                    shard_stats["frames"] += 1
-                    shard_stats["execute"].record(execute)
-                    shard_stats["total"].record(total)
             self._frames_done += len(submit_times)
             self._window_frames_done += len(submit_times)
             self._last_done = done_time
@@ -311,7 +274,7 @@ class ServeTelemetry:
     # -- worker lifecycle ------------------------------------------------
 
     def worker_spawned(self, count: int = 1) -> None:
-        """Count worker processes started (sharded engine)."""
+        """Count worker threads added to a live run."""
         with self._lock:
             self._seq += 1
             self._workers_spawned += count
@@ -319,35 +282,12 @@ class ServeTelemetry:
             self._m_workers.inc(count, event="spawned")
 
     def worker_exited(self, count: int = 1) -> None:
-        """Count worker processes observed gone."""
+        """Count worker threads retired from a live run."""
         with self._lock:
             self._seq += 1
             self._workers_exited += count
         if self._m_workers is not None:
             self._m_workers.inc(count, event="exited")
-
-    def worker_restarted(self, count: int = 1) -> None:
-        """Count crashed workers that were respawned."""
-        with self._lock:
-            self._seq += 1
-            self._workers_restarted += count
-        if self._m_workers is not None:
-            self._m_workers.inc(count, event="restarted")
-
-    def shard_plan_cache(self, shard: object, stats: dict) -> None:
-        """Fold a worker-local ToF-plan-cache *delta* into a shard.
-
-        Workers report per-run deltas (traffic since their previous
-        ``end_run``); accumulation handles a restarted shard reporting
-        twice within one run (old incarnation + replacement).
-        """
-        with self._lock:
-            self._seq += 1
-            entry = self._shard_caches.setdefault(
-                shard, {"hits": 0, "misses": 0}
-            )
-            entry["hits"] += stats.get("hits", 0)
-            entry["misses"] += stats.get("misses", 0)
 
     # -- reporting -------------------------------------------------------
 
@@ -357,9 +297,6 @@ class ServeTelemetry:
         with self._lock:
             hits = cache_now["hits"] - self._cache_start["hits"]
             misses = cache_now["misses"] - self._cache_start["misses"]
-            for shard_cache in self._shard_caches.values():
-                hits += shard_cache.get("hits", 0)
-                misses += shard_cache.get("misses", 0)
             lookups = hits + misses
             elapsed = None
             throughput = None
@@ -388,21 +325,9 @@ class ServeTelemetry:
                     name: stats.snapshot()
                     for name, stats in self._stages.items()
                 },
-                "shards": {
-                    str(shard): {
-                        "frames": entry["frames"],
-                        "batches": entry["batches"],
-                        "execute": entry["execute"].snapshot(),
-                        "total": entry["total"].snapshot(),
-                    }
-                    for shard, entry in sorted(
-                        self._shards.items(), key=lambda item: str(item[0])
-                    )
-                },
                 "workers": {
                     "spawned": self._workers_spawned,
                     "exited": self._workers_exited,
-                    "restarts": self._workers_restarted,
                     "live": max(
                         0, self._workers_spawned - self._workers_exited
                     ),
@@ -489,6 +414,5 @@ class ServeTelemetry:
         if workers["spawned"]:
             line += (
                 f" | workers {workers['live']}/{workers['spawned']} live"
-                f" ({workers['restarts']} restarts)"
             )
         return line

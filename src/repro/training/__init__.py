@@ -18,7 +18,6 @@ from repro.training.cache import (
     get_trained_model,
     trained_weights_path,
 )
-from repro.training.inference import predict_iq
 
 __all__ = [
     "FramePair",
@@ -29,5 +28,4 @@ __all__ = [
     "cache_dir",
     "get_trained_model",
     "trained_weights_path",
-    "predict_iq",
 ]

@@ -56,7 +56,8 @@ class TestModulePackage:
         )
 
     def test_file_outside_repro_gets_bare_stem(self):
-        assert module_package(Path("scripts/check_docs.py")) == "check_docs"
+        path = Path("benchmarks/compare_bench.py")
+        assert module_package(path) == "compare_bench"
 
     def test_rightmost_repro_directory_wins(self):
         path = Path("backup/repro/old/repro/nn/layers.py")

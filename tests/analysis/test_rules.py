@@ -172,7 +172,7 @@ class TestBoundedQueues:
         found = check(
             self.RULE,
             "import multiprocessing as mp\nq = mp.SimpleQueue()\n",
-            "repro.serve.sharding",
+            "repro.serve.engine",
         )
         assert len(found) == 1
 

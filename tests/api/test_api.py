@@ -274,46 +274,7 @@ class TestBatch:
         )
 
 
-class TestDeprecatedShims:
-    def test_beamform_with_warns_and_matches(self, sim_contrast_dataset):
-        from repro.eval.experiments import beamform_with
-
-        with pytest.warns(DeprecationWarning):
-            legacy = beamform_with(sim_contrast_dataset, "das")
-        assert np.array_equal(
-            legacy, create_beamformer("das").beamform(sim_contrast_dataset)
-        )
-
-    def test_predict_iq_warns_and_matches(
-        self, untrained_models, sim_contrast_dataset
-    ):
-        from repro.training.inference import predict_iq
-
-        model = untrained_models["tiny_cnn"]
-        with pytest.warns(DeprecationWarning):
-            legacy = predict_iq(model, "tiny_cnn", sim_contrast_dataset)
-        assert np.array_equal(
-            legacy,
-            create_beamformer(
-                "tiny_cnn", model=model
-            ).beamform(sim_contrast_dataset),
-        )
-
-    def test_quantized_iq_warns_and_matches(
-        self, untrained_models, sim_contrast_dataset
-    ):
-        from repro.eval.experiments import quantized_iq
-
-        model = untrained_models["tiny_vbf"]
-        with pytest.warns(DeprecationWarning):
-            legacy = quantized_iq(model, sim_contrast_dataset, "hybrid-2")
-        assert np.array_equal(
-            legacy,
-            QuantizedBeamformer(
-                "hybrid-2", model=model
-            ).beamform(sim_contrast_dataset),
-        )
-
+class TestBaseClass:
     def test_beamformer_is_abstract(self):
         with pytest.raises(TypeError):
             Beamformer()

@@ -109,7 +109,7 @@ class TestCompare:
 
     def test_new_metric_is_reported_not_gated(self):
         current = json.loads(json.dumps(BASELINE))
-        current["results"]["das"]["sharded_fps"] = 50.0
+        current["results"]["das"]["gateway_fps"] = 50.0
         failures, notes = compare_bench.compare(current, BASELINE, 0.25)
         assert failures == []
         assert any("new metric" in note for note in notes)

@@ -4,26 +4,27 @@ the trained-model paths are covered by integration tests and benches)."""
 import numpy as np
 import pytest
 
+from repro.api import create_beamformer
 from repro.eval.experiments import (
-    beamform_with,
+    eval_beamformers,
     run_contrast_experiment,
     run_resolution_experiment,
 )
 
 
-class TestBeamformWith:
+class TestEvalBeamformers:
     def test_das_runs(self, sim_contrast_dataset):
-        iq = beamform_with(sim_contrast_dataset, "das")
+        iq = create_beamformer("das").beamform(sim_contrast_dataset)
         assert iq.shape == sim_contrast_dataset.grid.shape
         assert np.iscomplexobj(iq)
 
-    def test_rejects_unknown_method(self, sim_contrast_dataset):
+    def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
-            beamform_with(sim_contrast_dataset, "beam_search")
+            eval_beamformers(("beam_search",))
 
-    def test_learned_method_requires_model(self, sim_contrast_dataset):
+    def test_learned_method_requires_model(self):
         with pytest.raises(ValueError, match="not in supplied models"):
-            beamform_with(sim_contrast_dataset, "tiny_vbf", models={})
+            eval_beamformers(("tiny_vbf",), models={})
 
     def test_runner_rejects_incomplete_models(self, sim_contrast_dataset):
         # A supplied models dict must cover every learned method; a

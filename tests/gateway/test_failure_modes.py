@@ -322,13 +322,10 @@ class TestEngineFailure:
         """After the shared engine dies, the gateway must stop
         admitting — not hand out hello_ok for frames it can never
         answer."""
-        from repro.serve import ShardedServeEngine
-        from tests.serve._sharding_helpers import CrashingBeamformer
-
         dataset = sim_contrast_dataset
-        engine = ShardedServeEngine(
-            CrashingBeamformer(),
-            n_workers=1,
+        engine = ServeEngine(
+            _RaisingBeamformer(),
+            n_workers=2,
             max_batch=1,
             max_latency_ms=1.0,
             log_every_s=0,
@@ -338,7 +335,7 @@ class TestEngineFailure:
             client = GatewayClient("127.0.0.1", gateway.port)
             client.connect(dataset_geometry(dataset))
             seq = client.submit(dataset.rf)
-            # The worker process dies on this batch; the engine aborts
+            # The worker raises on this batch; the engine turns broken
             # and the gateway fails the session.
             with pytest.raises((GatewayError, ConnectionError, OSError)):
                 client.result(seq)
@@ -357,7 +354,6 @@ class TestEngineFailure:
             assert gateway.stats()["gateway"]["broken"]
         finally:
             gateway.stop()
-            engine.close()
 
 
 class TestGracefulDrain:

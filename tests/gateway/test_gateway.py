@@ -2,8 +2,8 @@
 
 The acceptance test of the gateway layer lives here: concurrent
 mixed-geometry client sessions streaming ≥100 frames through a
-gateway-fronted :class:`~repro.serve.ShardedServeEngine` must receive
-IQ images bitwise identical to offline ``beamform`` on every
+gateway-fronted two-worker :class:`~repro.serve.ServeEngine` must
+receive IQ images bitwise identical to offline ``beamform`` on every
 registered backend.
 
 No test sleeps: clients block on their own sockets (event-driven
@@ -20,7 +20,7 @@ from repro.api import create_beamformer
 from repro.backend import available_backends
 from repro.gateway import GatewayClient, GatewayServer
 from repro.gateway.protocol import dataset_geometry
-from repro.serve import ServeEngine, ShardedServeEngine
+from repro.serve import ServeEngine
 from repro.ultrasound import stream_gain_drift
 
 N_SESSIONS = 4
@@ -108,7 +108,7 @@ class TestThreadedParity:
             )
 
 
-class TestShardedAcceptance:
+class TestConcurrentSessionsAcceptance:
     @pytest.mark.parametrize("backend", available_backends())
     def test_concurrent_sessions_bitwise_parity(
         self, sim_contrast_dataset, backend
@@ -123,7 +123,7 @@ class TestShardedAcceptance:
             )
             for index, dataset in enumerate(datasets)
         ]
-        engine = ShardedServeEngine(
+        engine = ServeEngine(
             das,
             n_workers=2,
             max_batch=4,
@@ -131,7 +131,7 @@ class TestShardedAcceptance:
             keep_images=False,
             log_every_s=0,
         )
-        with engine, GatewayServer(
+        with GatewayServer(
             engine, port=0, max_sessions=N_SESSIONS, max_inflight=8
         ) as gateway:
             results = run_sessions(gateway.port, datasets, per_session)
@@ -141,8 +141,7 @@ class TestShardedAcceptance:
         assert stats["gateway"]["frames_admitted"] == total
         assert stats["gateway"]["results_delivered"] == total
         assert stats["gateway"]["frames_rejected"] == 0
-        # Both shards actually executed work.
-        assert set(stats["engine"]["shards"]) == {"0", "1"}
+        assert stats["engine"]["frames_done"] == total
         for dataset_frames, images in zip(per_session, results):
             assert len(images) == FRAMES_PER_SESSION
             for frame, image in zip(dataset_frames, images):

@@ -10,11 +10,11 @@ benchmarks first.
 import numpy as np
 import pytest
 
+from repro.api import create_beamformer
 from repro.beamform import beamform_dataset
 from repro.beamform.envelope import envelope_detect
 from repro.metrics import dataset_contrast, dataset_resolution
 from repro.training.cache import trained_weights_path
-from repro.training.inference import predict_iq
 
 
 def _require_cached(kind):
@@ -26,6 +26,12 @@ def _require_cached(kind):
     from repro.training.cache import get_trained_model
 
     return get_trained_model(kind, "small", 0)
+
+
+def learned_envelope(model, kind, dataset):
+    """Envelope of ``dataset`` beamformed by ``model`` as ``kind``."""
+    beamformer = create_beamformer(kind, model=model)
+    return envelope_detect(beamformer.beamform(dataset))
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +50,10 @@ class TestTinyVbfTrained:
     ):
         ds = sim_contrast_dataset
         vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
+            learned_envelope(tiny_vbf, "tiny_vbf", ds), ds
         )
         cnn = dataset_contrast(
-            envelope_detect(predict_iq(tiny_cnn, "tiny_cnn", ds)), ds
+            learned_envelope(tiny_cnn, "tiny_cnn", ds), ds
         )
         assert vbf.cr_db > cnn.cr_db
 
@@ -59,7 +65,7 @@ class TestTinyVbfTrained:
             envelope_detect(beamform_dataset(ds, "das")), ds
         )
         vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
+            learned_envelope(tiny_vbf, "tiny_vbf", ds), ds
         )
         assert vbf.cr_db > das.cr_db - 2.0
 
@@ -69,7 +75,7 @@ class TestTinyVbfTrained:
             envelope_detect(beamform_dataset(ds, "das")), ds
         )
         vbf = dataset_resolution(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
+            learned_envelope(tiny_vbf, "tiny_vbf", ds), ds
         )
         # Known gap (EXPERIMENTS.md): lateral FWHM within 25 % of DAS
         # rather than below it at this aperture/training budget.
@@ -78,11 +84,13 @@ class TestTinyVbfTrained:
     def test_quantized_inference_stays_close_to_float(
         self, tiny_vbf, sim_contrast_dataset
     ):
-        from repro.eval.experiments import quantized_iq
-
         ds = sim_contrast_dataset
-        float_iq = quantized_iq(tiny_vbf, ds, "float")
-        hybrid_iq = quantized_iq(tiny_vbf, ds, "hybrid-1")
+        float_iq = create_beamformer(
+            "tiny_vbf@float", model=tiny_vbf
+        ).beamform(ds)
+        hybrid_iq = create_beamformer(
+            "tiny_vbf@hybrid-1", model=tiny_vbf
+        ).beamform(ds)
         scale = np.abs(float_iq).max()
         error = np.abs(hybrid_iq - float_iq).mean() / scale
         # Hybrid error is dominated by the 8-bit weights (~2.5 % of
@@ -96,6 +104,6 @@ class TestTinyVbfTrained:
 
         ds = simulation_contrast(seed=999)
         vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
+            learned_envelope(tiny_vbf, "tiny_vbf", ds), ds
         )
         assert vbf.cr_db > 6.0

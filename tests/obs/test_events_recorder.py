@@ -18,12 +18,12 @@ class TestEventLog:
     def test_emit_writes_one_json_line_per_event(self):
         stream = io.StringIO()
         log = EventLog(stream=stream, clock=FakeClock(10.0))
-        log.emit("worker_spawned", shard=0, pid=123)
+        log.emit("worker_added", engine="threaded", workers=3)
         log.emit("drain_begin", active_sessions=2)
         records = parse_event_lines(stream.getvalue())
         assert records == [
-            {"ts": 10.0, "event": "worker_spawned", "shard": 0,
-             "pid": 123},
+            {"ts": 10.0, "event": "worker_added", "engine": "threaded",
+             "workers": 3},
             {"ts": 10.0, "event": "drain_begin", "active_sessions": 2},
         ]
         # Each line is standalone JSON (tail -f friendly).
@@ -83,13 +83,13 @@ class TestFlightRecorder:
 
     def test_mixed_entries_dump_as_json_lines_with_kind(self):
         recorder = FlightRecorder(capacity=8)
-        recorder.record_event({"event": "worker_exited", "shard": 1})
+        recorder.record_event({"event": "worker_retired", "workers": 1})
         recorder.record_trace({"trace_id": 7, "owner": "engine",
                                "spans": []})
         lines = [json.loads(line) for line in
                  recorder.dump().splitlines()]
         assert lines[0]["kind"] == "event"
-        assert lines[0]["event"] == "worker_exited"
+        assert lines[0]["event"] == "worker_retired"
         assert lines[1]["kind"] == "trace"
         assert lines[1]["trace_id"] == 7
 

@@ -149,62 +149,3 @@ class TestExporters:
         validate_exposition(
             registry.render_prometheus(), required=("f_total", "depth")
         )
-
-
-class TestStateMerge:
-    """The worker-delta protocol: ``state()`` ships, ``merge()`` folds."""
-
-    def test_counters_and_histograms_add_gauges_overwrite(self):
-        worker = MetricsRegistry()
-        worker.counter("c", labels=("e",)).inc(2, e="x")
-        worker.gauge("g").set(7)
-        hist = worker.histogram("h", buckets=(1.0,))
-        hist.observe(0.5)
-        hist.observe(2.0)
-
-        parent = MetricsRegistry()
-        parent.counter("c", labels=("e",)).inc(1, e="x")
-        parent.gauge("g").set(3)
-        parent.merge(worker.state())
-
-        assert parent.counter("c", labels=("e",)).value(e="x") == 3.0
-        assert parent.gauge("g").value() == 7.0
-        snap = parent.histogram("h", buckets=(1.0,)).snapshot()
-        assert snap["count"] == 2
-        assert snap["sum"] == pytest.approx(2.5)
-
-    def test_state_reset_then_merge_never_double_counts(self):
-        """The per-batch delta loop the shard workers run.
-
-        Worker side: observe, ``state()``, ``reset()`` — repeatedly.
-        Parent side: ``merge()`` each delta.  The parent total must
-        equal the worker's true total, not 2x it.
-        """
-        worker = MetricsRegistry()
-        parent = MetricsRegistry()
-        kernel = worker.histogram("k_seconds", labels=("kernel",))
-        for batch in range(3):
-            kernel.observe(0.25, kernel="matmul")
-            delta = worker.state()
-            worker.reset()
-            parent.merge(delta)
-        merged = parent.histogram(
-            "k_seconds", labels=("kernel",)
-        ).snapshot(kernel="matmul")
-        assert merged["count"] == 3
-        assert merged["sum"] == pytest.approx(0.75)
-        # The family object survived every reset and kept observing.
-        assert worker.names() == ("k_seconds",)
-
-    def test_merge_rejects_bucket_mismatch_and_unknown_kind(self):
-        worker = MetricsRegistry()
-        worker.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(1.0, 2.0))
-        state = worker.state()
-        state["h"]["data"]["buckets"] = [9.0]
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            parent.merge(state)
-        with pytest.raises(ValueError, match="unknown metric kind"):
-            parent.merge({"x": {"kind": "nope", "help": "", "labels": [],
-                                "data": {}}})

@@ -20,12 +20,18 @@ from repro.serve.control import (
 
 
 class StubEngine:
-    """Minimal engine surface the controller actuates."""
+    """Minimal engine surface the controller actuates.
+
+    ``add_worker``/``retire_worker`` return ``True`` when they act and
+    ``False`` when refused, as :class:`~repro.serve.ServeEngine` does;
+    ``refuse_add`` makes every add refused (no run active).
+    """
 
     def __init__(self, max_batch=4, max_latency_ms=25.0, workers=2):
         self.max_batch = max_batch
         self.max_latency_ms = max_latency_ms
         self.workers = workers
+        self.refuse_add = False
         self.calls = []
 
     def set_batching(self, max_batch=None, max_latency_ms=None):
@@ -40,16 +46,18 @@ class StubEngine:
         return self.workers
 
     def add_worker(self):
+        if self.refuse_add:
+            return False
         self.workers += 1
         self.calls.append(("add_worker", self.workers))
-        return self.workers - 1
+        return True
 
-    def retire_worker(self, shard=None):
+    def retire_worker(self):
         if self.workers <= 1:
-            return None
+            return False
         self.workers -= 1
         self.calls.append(("retire_worker", self.workers))
-        return self.workers
+        return True
 
 
 class StubGateway:
@@ -72,9 +80,7 @@ def paint_window(telemetry, clock, p99_s, frames=20, depth=0):
     """Record one telemetry window whose total latency ~= ``p99_s``."""
     for _ in range(frames):
         now = clock.now()
-        telemetry.batch_done(
-            [now - p99_s], now - p99_s / 2, now, execute_s=p99_s / 2
-        )
+        telemetry.batch_done([now - p99_s], now - p99_s / 2, now)
     telemetry.observe_queue_depth("ingest", depth)
 
 
@@ -268,6 +274,30 @@ class TestScalingPolicy:
         for _ in range(2):
             paint_window(telemetry, clock, p99_s=0.300)
             controller.tick()
+        assert engine.workers == 3
+        assert ("add_worker", 3) in engine.calls
+
+    def test_refused_add_records_no_action(self, rig):
+        """A refused ``add_worker`` (``False``) is not an actuation.
+
+        It must not enter the action log or the actions counter, and it
+        must not start a cooldown: the next breached tick that the
+        engine accepts adds the worker straight away.
+        """
+        clock, telemetry, engine, controller = self.make(rig)
+        engine.refuse_add = True
+        for _ in range(2):
+            paint_window(telemetry, clock, p99_s=0.300)
+            controller.tick()
+        assert engine.workers == 2
+        assert [a for a in controller.actions if a.policy == "scaling"] == []
+        counter = controller.obs.metrics.counter(
+            "repro_control_actions_total", labels=("policy", "action")
+        )
+        assert counter.value(policy="scaling", action="add_worker") == 0
+        engine.refuse_add = False
+        paint_window(telemetry, clock, p99_s=0.300)
+        controller.tick()
         assert engine.workers == 3
         assert ("add_worker", 3) in engine.calls
 

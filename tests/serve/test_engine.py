@@ -6,6 +6,8 @@ parity with the offline API, frame conservation through shutdown, the
 dropped/completed partition under lossy backpressure).
 """
 
+import json
+import logging
 import threading
 from dataclasses import replace
 
@@ -60,6 +62,16 @@ class GatedBeamformer(Beamformer):
         return self.inner.beamform_batch(datasets)
 
     def describe(self) -> dict:
+        return {"name": self.name, "backend": "test"}
+
+
+class ExplodingBeamformer(Beamformer):
+    name = "exploding"
+
+    def beamform(self, dataset):
+        raise RuntimeError("boom")
+
+    def describe(self):
         return {"name": self.name, "backend": "test"}
 
 
@@ -238,15 +250,6 @@ class TestTelemetryReport:
 
 class TestFailure:
     def test_worker_error_propagates_without_hanging(self, frames):
-        class ExplodingBeamformer(Beamformer):
-            name = "exploding"
-
-            def beamform(self, dataset):
-                raise RuntimeError("boom")
-
-            def describe(self):
-                return {"name": self.name, "backend": "test"}
-
         engine = ServeEngine(
             ExplodingBeamformer(),
             max_batch=2,
@@ -255,6 +258,31 @@ class TestFailure:
         )
         with pytest.raises(RuntimeError, match="boom"):
             engine.serve(ReplaySource(frames))
+
+    def test_failure_marks_broken_and_dumps_the_flight_recorder(
+        self, frames, caplog
+    ):
+        engine = ServeEngine(
+            ExplodingBeamformer(), n_workers=2, log_every_s=0
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.serve"):
+            with pytest.raises(RuntimeError, match="boom"):
+                engine.serve(ReplaySource(frames[:4]))
+        assert engine.broken
+        dumps = [
+            record.getMessage() for record in caplog.records
+            if "flight recorder dump" in record.getMessage()
+        ]
+        # One post-mortem per run, however many workers failed; the
+        # ring ends with the failure itself.
+        assert len(dumps) == 1
+        last = json.loads(dumps[0].splitlines()[-1])
+        assert last["event"] == "engine_broken"
+        assert last["error"] == "RuntimeError"
+        # The next run starts clean.
+        engine.beamformer = create_beamformer("das")
+        assert engine.serve(ReplaySource(frames[:2])).completed == 2
+        assert not engine.broken
 
     def test_batcher_error_propagates_without_hanging(self):
         # Objects without probe/grid/... blow up inside the batcher
@@ -355,3 +383,46 @@ class TestLiveWorkerLifecycle:
         assert report.stats["max_batch_size"] >= 2
         with pytest.raises(ValueError):
             engine.set_batching(max_batch=0)
+
+
+class TestSoak:
+    @pytest.mark.slow
+    def test_drop_oldest_soak_conserves_every_frame(
+        self, sim_contrast_dataset
+    ):
+        """5k frames under lossy backpressure: nothing lost, no deadlock.
+
+        Every submitted frame must end the run accounted for — delivered
+        to the sink exactly once or explicitly dropped by the
+        ``drop_oldest`` policy, never both — and the engine must shut
+        down gracefully: every worker thread exits (the autouse leak
+        guard fails the test otherwise).  Images go to the sink only
+        (``keep_images=False``), as behind the gateway, so the soak's
+        memory stays flat.  Nightly CI runs this with ``--runslow``.
+        """
+        n_frames = 5000
+        # Feed the generator directly (serve() takes any iterable):
+        # materializing 5k datasets up front would hold gigabytes, and
+        # streaming is the realistic ingest shape anyway.
+        source = stream_gain_drift(sim_contrast_dataset, n_frames, seed=5)
+        engine = ServeEngine(
+            create_beamformer("das"),
+            n_workers=2,
+            backpressure="drop_oldest",
+            queue_capacity=16,
+            keep_images=False,
+            log_every_s=0,
+        )
+        delivered = []
+        report = engine.serve(
+            source,
+            sink=lambda seq, dataset, image: delivered.append(seq),
+        )
+        dropped = set(report.dropped)
+        assert len(delivered) == len(set(delivered))
+        assert set(delivered).isdisjoint(dropped)
+        assert set(delivered) | dropped == set(range(n_frames))
+        assert report.stats["frames_in"] == n_frames
+        assert report.stats["frames_done"] == len(delivered)
+        assert report.stats["frames_dropped"] == len(dropped)
+        assert engine.live_workers == 0

@@ -2,11 +2,10 @@
 
 The ``pe="emu"`` knob swaps the quantized GEMMs onto the integer PE
 emulator through a thread-local scope — exactly the kind of state that
-threading or process sharding could silently drop.  This suite pins
-the tri-parity invariant (offline == threaded ``ServeEngine`` ==
-``ShardedServeEngine``, bit for bit) for an emulated-PE quantized
-beamformer on every registered backend, which also proves the scope
-re-arms inside freshly spawned worker processes.
+a worker thread could silently drop.  This suite pins the parity
+invariant (offline == two-worker ``ServeEngine``, bit for bit) for an
+emulated-PE quantized beamformer on every registered backend, which
+also proves the scope re-arms inside every worker thread.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from repro.api import create_beamformer
 from repro.backend import available_backends
 from repro.models.registry import build_model
-from repro.serve import ReplaySource, ServeEngine, ShardedServeEngine
+from repro.serve import ReplaySource, ServeEngine
 from repro.ultrasound import stream_gain_drift
 
 N_FRAMES = 2
@@ -35,7 +34,7 @@ def model():
 
 class TestEmulatedPeServeParity:
     @pytest.mark.parametrize("backend", available_backends())
-    def test_offline_threaded_sharded_bitwise_parity(
+    def test_offline_threaded_bitwise_parity(
         self, frames, model, backend
     ):
         beamformer = create_beamformer(
@@ -43,19 +42,12 @@ class TestEmulatedPeServeParity:
         )
         assert beamformer.describe()["pe"] == "emu"
         offline = [beamformer.beamform(frame) for frame in frames]
-        threaded = ServeEngine(
+        report = ServeEngine(
             beamformer, n_workers=2, log_every_s=0.0
         ).serve(ReplaySource(frames))
-        with ShardedServeEngine(
-            beamformer, n_workers=2, log_every_s=0.0
-        ) as engine:
-            report = engine.serve(ReplaySource(frames))
         assert report.completed == len(frames)
-        for reference, via_threads, via_shards in zip(
-            offline, threaded.images, report.images
-        ):
-            np.testing.assert_array_equal(reference, via_threads)
-            np.testing.assert_array_equal(reference, via_shards)
+        for reference, image in zip(offline, report.images):
+            np.testing.assert_array_equal(reference, image)
 
     def test_emulated_serving_differs_from_per_level(self, frames,
                                                      model):

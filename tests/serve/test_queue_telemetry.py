@@ -138,60 +138,19 @@ class TestLatencyReservoir:
             LatencyStats(cap=0)
 
 
-class TestShardTelemetry:
-    def test_per_shard_stats_and_worker_counters(self):
-        clock = FakeClock()
-        telemetry = ServeTelemetry(clock=clock)
-        telemetry.worker_spawned(2)
-        t0 = telemetry.frame_submitted()
-        clock.advance(0.005)
-        t1 = telemetry.frame_submitted()
-        dispatch = clock.now()
-        clock.advance(0.030)
-        telemetry.batch_done(
-            [t0], dispatch, clock.now(), shard=0, execute_s=0.010
-        )
-        telemetry.batch_done(
-            [t1], dispatch, clock.now(), shard=1, execute_s=0.020
-        )
-        telemetry.worker_exited()
-        telemetry.worker_restarted()
-        telemetry.worker_spawned()
-
-        stats = telemetry.stats()
-        shards = stats["shards"]
-        assert set(shards) == {"0", "1"}
-        assert shards["0"]["frames"] == 1
-        assert shards["0"]["execute"]["p50_ms"] == pytest.approx(10.0)
-        assert shards["1"]["execute"]["p50_ms"] == pytest.approx(20.0)
-        # Worker-measured execute: queue_wait is the clamped remainder.
-        assert stats["stages"]["execute"]["max_ms"] == pytest.approx(
-            20.0
-        )
-        assert stats["workers"] == {
-            "spawned": 3, "exited": 1, "restarts": 1, "live": 2,
-        }
-        line = telemetry.log_line()
-        assert "workers 2/3 live (1 restarts)" in line
-
-    def test_shard_plan_cache_merges_into_hit_rate(self):
+class TestWorkerTelemetry:
+    def test_worker_counters_and_log_line(self):
         telemetry = ServeTelemetry(clock=FakeClock())
-        telemetry.shard_plan_cache(0, {"hits": 7, "misses": 1})
-        telemetry.shard_plan_cache(1, {"hits": 3, "misses": 1})
-        cache = telemetry.stats()["plan_cache"]
-        assert cache["hits"] >= 10
-        assert cache["misses"] >= 2
-        assert cache["hit_rate"] is not None
-
-    def test_unlabelled_batches_keep_threaded_shape(self):
-        clock = FakeClock()
-        telemetry = ServeTelemetry(clock=clock)
-        t0 = telemetry.frame_submitted()
-        clock.advance(0.010)
-        telemetry.batch_done([t0], t0 + 0.005, clock.now())
-        stats = telemetry.stats()
-        assert stats["shards"] == {}
-        assert stats["workers"]["spawned"] == 0
+        assert telemetry.stats()["workers"] == {
+            "spawned": 0, "exited": 0, "live": 0,
+        }
+        assert "workers" not in telemetry.log_line()
+        telemetry.worker_spawned(2)
+        telemetry.worker_exited()
+        assert telemetry.stats()["workers"] == {
+            "spawned": 2, "exited": 1, "live": 1,
+        }
+        assert "workers 1/2 live" in telemetry.log_line()
 
 
 class TestQueueStats:

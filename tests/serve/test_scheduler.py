@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.serve import FakeClock, MicroBatcher, ShardRouter
+from repro.serve import FakeClock, MicroBatcher
 from repro.ultrasound import stream_gain_drift
 
 
@@ -198,45 +198,6 @@ class TestValidation:
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             MicroBatcher(max_latency_s=-1.0)
-
-
-class TestShardRouter:
-    def _batch_of(self, batcher_frames):
-        batcher, _ = make_batcher(max_batch=len(batcher_frames))
-        for frame in batcher_frames:
-            batcher.submit(frame)
-        (batch,) = batcher.ready()
-        return batch
-
-    def test_round_robin_cycles_every_shard(self, frames):
-        router = ShardRouter(3)
-        batch = self._batch_of(frames[:2])
-        assert [router.route(batch) for _ in range(6)] == [
-            0, 1, 2, 0, 1, 2,
-        ]
-
-    def test_geometry_policy_is_sticky_and_stable(
-        self, frames, other_geometry
-    ):
-        straight = self._batch_of(frames[:2])
-        steered = self._batch_of([other_geometry])
-        first = ShardRouter(4, policy="geometry")
-        second = ShardRouter(4, policy="geometry")
-        # Same geometry -> same shard, on any router instance (the
-        # hash is process-stable, so placement survives restarts).
-        assert first.route(straight) == second.route(straight)
-        assert first.route(straight) == first.route(straight)
-        assert first.route(steered) == second.route(steered)
-
-    def test_single_shard_takes_everything(self, frames):
-        router = ShardRouter(1, policy="geometry")
-        assert router.route(self._batch_of(frames[:1])) == 0
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
-        with pytest.raises(ValueError):
-            ShardRouter(2, policy="random")
 
 
 class TestRuntimeMutableLimits:

@@ -1,30 +1,19 @@
-"""End-to-end tracing through the process-sharded engine.
+"""End-to-end tracing through the threaded serving engine.
 
 Every sampled frame must come back with a *complete* span tree —
-``queue_wait`` → ``shard`` (with worker-side ``unpack``/``execute``/
-``pack`` children rebased from the worker's clock) → ``collect`` —
-under both transports, with every span closed and the worker spans
-attributed to a different pid than the parent.  The crash test pins
-the flight-recorder contract: a requeued frame still ends in exactly
-one finished trace.
+``queue_wait`` → ``execute`` under the ``frame`` root — with every span
+closed, even when two worker threads execute batches concurrently, and
+the tracer's started/completed counters must balance.
 """
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.api import create_beamformer
 from repro.obs import Observability, span_tree
-from repro.serve import ReplaySource
-from repro.serve.sharding import ShardedServeEngine
+from repro.serve import ReplaySource, ServeEngine
 from repro.ultrasound import stream_gain_drift
-from tests.serve._sharding_helpers import CrashOnceBeamformer
 
 N_FRAMES = 8
-
-#: Stages the worker reports back as clock-offset blobs.
-WORKER_STAGES = {"unpack", "execute", "pack"}
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +27,7 @@ def traced_engine(beamformer, **kwargs):
     obs = Observability.create(sample_rate=1.0)
     kwargs.setdefault("n_workers", 2)
     kwargs.setdefault("log_every_s", 0.0)
-    return ShardedServeEngine(
-        beamformer, observability=obs, **kwargs
-    ), obs
+    return ServeEngine(beamformer, observability=obs, **kwargs), obs
 
 
 def completed_roots(obs):
@@ -50,20 +37,13 @@ def completed_roots(obs):
 
 
 class TestSpanCompleteness:
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_every_frame_yields_a_complete_closed_tree(
-        self, frames, transport
-    ):
-        engine, obs = traced_engine(
-            create_beamformer("das"), transport=transport
-        )
-        with engine:
-            report = engine.serve(ReplaySource(frames))
+    def test_every_frame_yields_a_complete_closed_tree(self, frames):
+        engine, obs = traced_engine(create_beamformer("das"))
+        report = engine.serve(ReplaySource(frames))
         assert report.completed == len(frames)
 
         roots = completed_roots(obs)
         assert len(roots) == len(frames)
-        seen_worker_pids = set()
         for trace, root in roots:
             assert trace["owner"] == "engine"
             assert root["name"] == "frame"
@@ -75,87 +55,20 @@ class TestSpanCompleteness:
                     f"{trace['trace_id']:#x}"
                 )
             stages = [c["name"] for c in root["children"]]
-            assert stages == ["queue_wait", "shard", "collect"]
-            (shard,) = [
-                c for c in root["children"] if c["name"] == "shard"
-            ]
-            worker_stages = {
-                c["name"]: c for c in shard["children"]
-            }
-            assert set(worker_stages) == WORKER_STAGES
-            for name, span in worker_stages.items():
-                # Cross-process: recorded in the worker, rebased here.
-                assert span["process"] != os.getpid()
-                seen_worker_pids.add(span["process"])
-                assert span["start"] >= shard["start"] - 1e-6
-                assert span["end"] <= shard["end"] + 1e-6
-            # The pipeline is ordered: unpack -> execute -> pack.
-            assert (
-                worker_stages["unpack"]["end"]
-                <= worker_stages["execute"]["start"] + 1e-9
-            )
-            assert (
-                worker_stages["execute"]["end"]
-                <= worker_stages["pack"]["start"] + 1e-9
-            )
-        # Both worker processes served traffic across the run.
-        assert len(seen_worker_pids) == 2
+            assert stages == ["queue_wait", "execute"]
+            queue_wait, execute = root["children"]
+            # The pipeline is ordered: the wait ends at dispatch, where
+            # the execute span starts, and both sit inside the root.
+            assert queue_wait["end"] == execute["start"]
+            assert root["start"] <= queue_wait["start"]
+            assert execute["end"] <= root["end"]
+            assert execute["attrs"]["batch_size"] >= 1
 
     def test_trace_counters_balance(self, frames):
         engine, obs = traced_engine(create_beamformer("das"))
-        with engine:
-            engine.serve(ReplaySource(frames))
+        engine.serve(ReplaySource(frames))
         counter = obs.metrics.counter(
             "repro_traces_total", labels=("event",)
         )
         assert counter.value(event="started") == len(frames)
         assert counter.value(event="completed") == len(frames)
-
-
-class TestCrashRequeue:
-    def test_requeued_frames_finish_exactly_one_trace(
-        self, frames, tmp_path
-    ):
-        """Worker crash + restart must not leak or double-finish traces.
-
-        The crashed batch is requeued to the respawned worker (same
-        batch id; duplicate completions are discarded by id), so every
-        frame must still end with exactly one completed trace, exactly
-        one ``shard`` span, every span closed — and the crash's
-        lifecycle events in the flight recorder.
-        """
-        engine, obs = traced_engine(
-            CrashOnceBeamformer(tmp_path / "crashed-once"),
-            restart_workers=True,
-        )
-        offline = create_beamformer("das")
-        with engine:
-            report = engine.serve(ReplaySource(frames))
-        assert report.completed == len(frames)
-        assert report.stats["workers"]["restarts"] >= 1
-        for reference, image in zip(
-            (offline.beamform(f) for f in frames), report.images
-        ):
-            np.testing.assert_array_equal(reference, image)
-
-        roots = completed_roots(obs)
-        assert len(roots) == len(frames)
-        for trace, root in roots:
-            assert root["attrs"]["status"] == "ok"
-            for span in trace["spans"]:
-                assert span["end"] is not None
-            shard_spans = [
-                c for c in root["children"] if c["name"] == "shard"
-            ]
-            # Requeue re-sends the *same* batch id and the collector
-            # keeps only its first completion — one dispatch record
-            # per frame, crash or no crash.
-            assert len(shard_spans) == 1
-
-        kinds = {
-            record["event"]
-            for kind, record in obs.recorder.entries()
-            if kind == "event"
-        }
-        assert {"worker_spawned", "worker_exited",
-                "worker_restarted"} <= kinds
