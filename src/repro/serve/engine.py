@@ -77,6 +77,19 @@ _SHUTDOWN = object()
 _RETIRE = object()
 
 
+def _finish_engine_traces(
+    frames: Iterable[PendingFrame], status: str
+) -> None:
+    """Close the engine-owned traces of ``frames`` with ``status``.
+
+    The gateway finishes its own traces at response delivery, so
+    gateway-owned ones are left alone.  Idempotent per trace.
+    """
+    for frame in frames:
+        if frame.trace is not None and frame.trace.owner == "engine":
+            frame.trace.finish(status=status)
+
+
 def run_batcher(
     ingest: BoundedQueue,
     dispatch: Callable[[MicroBatch], None],
@@ -455,6 +468,9 @@ class ServeEngine:
                 telemetry.worker_exited()
                 return
             if failed:
+                # Discarded unexecuted: close its traces so a failed
+                # run still balances started against completed.
+                _finish_engine_traces(batch.frames, "error")
                 continue
             dispatch_time = self.clock.now()
             datasets = [frame.dataset for frame in batch.frames]
@@ -482,16 +498,11 @@ class ServeEngine:
                 if sink is not None:
                     for frame, image in zip(batch.frames, images):
                         sink(frame.seq, frame.dataset, image)
-                for frame in batch.frames:
-                    # The gateway finishes its own traces at response
-                    # delivery; engine-owned ones end with the sink.
-                    if (
-                        frame.trace is not None
-                        and frame.trace.owner == "engine"
-                    ):
-                        frame.trace.finish(status="ok")
+                # Engine-owned traces end with the sink.
+                _finish_engine_traces(batch.frames, "ok")
             except BaseException as exc:  # propagated after join
                 self._fail(ctx, exc)
+                _finish_engine_traces(batch.frames, "error")
                 failed = True
                 continue
             self._maybe_log(telemetry, log_state)

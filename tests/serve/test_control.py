@@ -11,7 +11,8 @@ without spawning a single worker.
 
 import pytest
 
-from repro.serve import FakeClock, ServeTelemetry
+from repro.api import create_beamformer
+from repro.serve import FakeClock, ServeEngine, ServeTelemetry
 from repro.serve.control import (
     SLO,
     ControlBounds,
@@ -24,7 +25,8 @@ class StubEngine:
 
     ``add_worker``/``retire_worker`` return ``True`` when they act and
     ``False`` when refused, as :class:`~repro.serve.ServeEngine` does;
-    ``refuse_add`` makes every add refused (no run active).
+    ``refuse_add``/``refuse_retire`` make every such call refused (no
+    run active).
     """
 
     def __init__(self, max_batch=4, max_latency_ms=25.0, workers=2):
@@ -32,6 +34,7 @@ class StubEngine:
         self.max_latency_ms = max_latency_ms
         self.workers = workers
         self.refuse_add = False
+        self.refuse_retire = False
         self.calls = []
 
     def set_batching(self, max_batch=None, max_latency_ms=None):
@@ -53,7 +56,7 @@ class StubEngine:
         return True
 
     def retire_worker(self):
-        if self.workers <= 1:
+        if self.refuse_retire or self.workers <= 1:
             return False
         self.workers -= 1
         self.calls.append(("retire_worker", self.workers))
@@ -300,6 +303,46 @@ class TestScalingPolicy:
         controller.tick()
         assert engine.workers == 3
         assert ("add_worker", 3) in engine.calls
+
+    def test_refused_retire_records_no_action(self, rig):
+        clock, telemetry, engine, controller = self.make(rig)
+        engine.refuse_retire = True
+        for _ in range(4):
+            paint_window(telemetry, clock, p99_s=0.005, depth=0)
+            controller.tick()
+        assert engine.workers == 2
+        assert [a for a in controller.actions if a.policy == "scaling"] == []
+        # No cooldown was started: the first accepted retire happens on
+        # the very next idle tick.
+        engine.refuse_retire = False
+        paint_window(telemetry, clock, p99_s=0.005, depth=0)
+        controller.tick()
+        assert engine.workers == 1
+        assert ("retire_worker", 1) in engine.calls
+
+    def test_real_engine_refusal_is_not_an_action(self, rig):
+        """The contract the stub mirrors, checked on a real engine.
+
+        Outside a run :class:`~repro.serve.ServeEngine` refuses every
+        add (``False``); the controller must log nothing for it.
+        """
+        clock, telemetry, _ = rig
+        engine = ServeEngine(
+            create_beamformer("das"), max_batch=4, log_every_s=0
+        )
+        controller = ServoController(
+            SLO(p99_latency_s=0.100),
+            telemetry,
+            engine=engine,
+            bounds=ControlBounds(patience=2, max_batch=4),
+            autoscale=True,
+            clock=clock,
+        )
+        for _ in range(4):
+            paint_window(telemetry, clock, p99_s=0.300)
+            controller.tick()
+        assert engine.live_workers == 0
+        assert [a for a in controller.actions if a.policy == "scaling"] == []
 
     def test_cooldown_prevents_flapping(self, rig):
         clock, telemetry, engine, controller = self.make(rig)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import Beamformer, create_beamformer
+from repro.backend import available_backends, get_backend, set_backend
 from repro.models.registry import build_model
 from repro.serve import ReplaySource, ServeEngine
 from repro.ultrasound import stream_gain_drift
@@ -196,6 +197,46 @@ class TestLosslessServing:
             assert np.array_equal(image, report.images[seq])
 
 
+class TestEngineReuse:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_engine_reuse_across_runs(self, frames, backend):
+        """One engine serves run after run, bit-exact every time."""
+        beamformer = create_beamformer("das", backend=backend)
+        offline = [beamformer.beamform(frame) for frame in frames[:4]]
+        engine = ServeEngine(beamformer, n_workers=2, log_every_s=0)
+        first = engine.serve(ReplaySource(frames[:4]))
+        second = engine.serve(ReplaySource(frames[:4]))
+        for reference, one, two in zip(
+            offline, first.images, second.images
+        ):
+            np.testing.assert_array_equal(reference, one)
+            np.testing.assert_array_equal(reference, two)
+        assert engine.live_workers == 0  # the pool ends with its run
+
+    def test_process_default_backend_reaches_worker_threads(self, frames):
+        """A ``set_backend`` default applies inside the serving threads.
+
+        A beamformer created with ``backend=None`` resolves the process
+        default when it runs, on whichever thread runs it.  With
+        ``numpy-fast`` as the default the workers must produce its
+        float32 output, bit-identical to a beamformer bound to it.
+        """
+        beamformer = create_beamformer("das")
+        fast = create_beamformer("das", backend="numpy-fast")
+        offline = [fast.beamform(frame) for frame in frames[:4]]
+        previous = get_backend()
+        set_backend("numpy-fast")
+        try:
+            report = ServeEngine(
+                beamformer, n_workers=2, log_every_s=0
+            ).serve(ReplaySource(frames[:4]))
+        finally:
+            set_backend(previous)
+        for reference, image in zip(offline, report.images):
+            assert image.dtype == np.complex64
+            np.testing.assert_array_equal(reference, image)
+
+
 class TestBackpressureDropOldest:
     def test_drops_partition_and_survivors_are_correct(self, frames):
         beamformer = GatedBeamformer()
@@ -350,6 +391,53 @@ class TestLiveWorkerLifecycle:
         report = engine.serve(source())
         assert report.completed == 3
         assert refused == [False]  # last worker is never retired
+
+    def test_live_resizing_feeds_the_worker_counters(self, frames):
+        das = create_beamformer("das")
+        engine = ServeEngine(
+            das, n_workers=1, max_batch=1, log_every_s=0
+        )
+
+        def source():
+            for index, frame in enumerate(frames):
+                if index == 2:
+                    assert engine.add_worker()
+                    assert engine.add_worker()
+                if index == 5:
+                    assert engine.retire_worker()
+                yield frame
+
+        report = engine.serve(source())
+        assert report.completed == len(frames)
+        # The retire token is queued ahead of shutdown, so the retired
+        # thread has exited by the time serve() returns.
+        assert report.stats["workers"] == {
+            "spawned": 2, "exited": 1, "live": 1,
+        }
+
+    def test_next_run_starts_from_the_configured_pool(self, frames):
+        das = create_beamformer("das")
+        engine = ServeEngine(
+            das, n_workers=1, max_batch=1, log_every_s=0
+        )
+
+        def grow():
+            for index, frame in enumerate(frames[:4]):
+                if index == 1:
+                    assert engine.add_worker()
+                yield frame
+
+        engine.serve(grow())
+        seen = []
+
+        def observe():
+            for frame in frames[:2]:
+                seen.append(engine.live_workers)
+                yield frame
+
+        report = engine.serve(observe())
+        assert report.completed == 2
+        assert seen == [1, 1]  # a live add lasts one run only
 
     def test_lifecycle_refused_outside_a_run(self, frames):
         das = create_beamformer("das")

@@ -3,12 +3,15 @@
 Every sampled frame must come back with a *complete* span tree —
 ``queue_wait`` → ``execute`` under the ``frame`` root — with every span
 closed, even when two worker threads execute batches concurrently, and
-the tracer's started/completed counters must balance.
+the tracer's started/completed counters must balance — also when a
+worker fails or backpressure evicts frames.
 """
+
+import threading
 
 import pytest
 
-from repro.api import create_beamformer
+from repro.api import Beamformer, create_beamformer
 from repro.obs import Observability, span_tree
 from repro.serve import ReplaySource, ServeEngine
 from repro.ultrasound import stream_gain_drift
@@ -72,3 +75,84 @@ class TestSpanCompleteness:
         )
         assert counter.value(event="started") == len(frames)
         assert counter.value(event="completed") == len(frames)
+
+
+class ExplodingBeamformer(Beamformer):
+    name = "exploding"
+
+    def beamform(self, dataset):
+        raise RuntimeError("boom")
+
+    def describe(self):
+        return {"name": self.name, "backend": "test"}
+
+
+class GatedBeamformer(Beamformer):
+    """DAS whose workers block until the source has been drained."""
+
+    name = "gated_das"
+
+    def __init__(self):
+        self.inner = create_beamformer("das")
+        self.gate = threading.Event()
+
+    def beamform(self, dataset):
+        self.gate.wait()
+        return self.inner.beamform(dataset)
+
+    def describe(self):
+        return {"name": self.name, "backend": "test"}
+
+
+def statuses(obs):
+    """Root ``status`` attribute of every completed trace."""
+    return [root["attrs"]["status"] for _, root in completed_roots(obs)]
+
+
+class TestFailurePaths:
+    def test_failed_run_closes_every_trace(self, frames):
+        """A worker exception must not leave sampled traces open.
+
+        The batch that raised and every batch the failed workers
+        discard afterwards finish with ``status="error"``, so the
+        started/completed counters still balance.
+        """
+        engine, obs = traced_engine(ExplodingBeamformer(), max_batch=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.serve(ReplaySource(frames))
+        counter = obs.metrics.counter(
+            "repro_traces_total", labels=("event",)
+        )
+        assert counter.value(event="started") == len(frames)
+        assert counter.value(event="completed") == len(frames)
+        assert statuses(obs) == ["error"] * len(frames)
+
+    def test_dropped_frames_close_as_dropped(self, frames):
+        """Under ``drop_oldest`` every trace ends ``dropped`` or ``ok``.
+
+        The workers stay gated until the source is exhausted, so the
+        small queues overflow and evict; the evicted frames' traces
+        must close as ``dropped`` and the delivered ones as ``ok``.
+        """
+        beamformer = GatedBeamformer()
+
+        def source():
+            yield from frames
+            beamformer.gate.set()
+
+        engine, obs = traced_engine(
+            beamformer,
+            n_workers=1,
+            max_batch=1,
+            queue_capacity=2,
+            backpressure="drop_oldest",
+        )
+        try:
+            report = engine.serve(source())
+        finally:
+            beamformer.gate.set()
+        assert report.dropped  # 8 frames cannot fit in 6 slots
+        seen = statuses(obs)
+        assert len(seen) == len(frames)
+        assert seen.count("dropped") == len(report.dropped)
+        assert seen.count("ok") == report.completed
