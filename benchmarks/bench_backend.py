@@ -144,12 +144,6 @@ def main(argv=None) -> int:
         clear_tof_plan_cache()
         timings = {}
         for backend_name in available_backends():
-            if backend_name == "pe-emu":
-                # Without an active emulation scope pe-emu delegates
-                # verbatim to numpy — benching it here would just
-                # re-measure the reference.  bench_pe_emu.py times the
-                # emulated datapath with a scope armed.
-                continue
             seconds = bench(backend_name)
             timings[backend_name] = {
                 "seconds": seconds,

@@ -5,7 +5,8 @@ Measures, per Table-III quantization scheme:
 * **matmul** — raw :class:`repro.fpga.emu.EmulatedPE` GEMM throughput
   in MACs/s for both rounding modes (the emulator's hot loop: lane
   packing, segmented multiply, full-width accumulate, final round),
-* **forward** — a small Tiny-VBF forward through ``pe="emu"`` vs the
+* **forward** — a small Tiny-VBF forward on the round-at-end emulator
+  (``pe_rounding("round_at_end")``, the modeled path's oracle) vs the
   plain modeled ``quantized_forward`` on the ``16 bits`` scheme.
 
 Writes ``benchmarks/BENCH_pe_emu.json``.  The emulator is a *cost
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.fpga.emu import ROUNDING_MODES, EmulatedPE
 from repro.models.registry import build_model
-from repro.quant.qexec import QuantizedModel, quantized_forward
+from repro.quant.qexec import QuantizedModel, pe_rounding, quantized_forward
 from repro.quant.schemes import SCHEMES
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_pe_emu.json"
@@ -70,7 +71,12 @@ def bench_matmul(scheme_name: str, shape, repeats: int) -> dict:
 def bench_forward(batch: np.ndarray, repeats: int) -> dict:
     model = build_model("tiny_vbf", "small", seed=0)
     scheme = SCHEMES[FORWARD_SCHEME]
-    emulated = QuantizedModel(model, scheme, pe="emu")
+    quantized = QuantizedModel(model, scheme)
+
+    def emulated(x: np.ndarray) -> np.ndarray:
+        with pe_rounding("round_at_end"):
+            return quantized(x)
+
     quantized_forward(model.root, batch, scheme)  # warm-up
     emulated(batch)
     modeled_s = timeit(

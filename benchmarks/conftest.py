@@ -12,7 +12,6 @@ across reruns and orderings); frame perturbation for the throughput
 scripts lives in ``bench_throughput.make_frames`` (explicitly seeded).
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -66,18 +65,9 @@ def beamformers(models):
 
 @pytest.fixture(scope="session")
 def quantized_beamformers(models):
-    """Tiny-VBF through the FPGA datapath, one per Table-III scheme.
-
-    ``REPRO_PE=emu`` (or ``emu-per-level``) reruns every quantized
-    table/figure on the bit-accurate integer PE emulator instead of
-    the modeled fake-quantized path — the CI ``fpga-emu`` job uses
-    this to regenerate Table IV in emulated mode.
-    """
-    pe = os.environ.get("REPRO_PE") or None
+    """Tiny-VBF through the FPGA datapath, one per Table-III scheme."""
     return {
-        name: create_beamformer(
-            f"tiny_vbf@{name}", model=models["tiny_vbf"], pe=pe
-        )
+        name: create_beamformer(f"tiny_vbf@{name}", model=models["tiny_vbf"])
         for name in SCHEMES
     }
 

@@ -3,9 +3,9 @@
 The paper shows reconstructions per quantization level: 24/20-bit and
 the hybrids are visually identical to float, 16-bit degrades visibly.
 We export the images and quantify the degradation as the RMS dB
-difference from the float B-mode.  ``REPRO_PE=emu`` regenerates every
-quantized B-mode on the bit-accurate integer PE emulator
-(bit-identical to the default modeled path).
+difference from the float B-mode.  The quantized B-modes come from the
+modeled path, bit-identical to the integer PE emulator's round-at-end
+datapath.
 """
 
 import numpy as np

@@ -6,11 +6,12 @@ Hybrid-1 0.309/0.45, Hybrid-2 0.309/0.45 (simulation column).
 Shape under test: quantization down to 20-bit / hybrid leaves the FWHM
 within a few percent of float.
 
-The quantized columns run on the modeled fake-quantized path by
-default and on the bit-accurate integer PE emulator under
-``REPRO_PE=emu`` (see ``docs/fpga-emulation.md``); the two are
-bit-identical by the ``tests/quant/test_pe_agreement.py`` contract, so
-the numbers hold for both.
+The quantized columns run on the modeled path, which is bitwise the
+round-at-end integer PE datapath on every backend (the
+``tests/backend/test_conformance.py`` and
+``tests/quant/test_pe_agreement.py`` contracts; see
+``docs/fpga-emulation.md``), so the numbers hold for the emulated
+hardware too.
 """
 
 from repro.eval.tables import PAPER_TABLE_IV

@@ -8,9 +8,8 @@ Shape under test: every quantized scheme stays within ~2 dB CR of float
 (the paper sees <1.7 dB variation), i.e. quantization preserves image
 quality.
 
-Quantized columns are emulated-capable: ``REPRO_PE=emu`` reruns them
-on the integer PE emulator, bit-identical to the default modeled path
-(see ``docs/fpga-emulation.md``).
+The quantized columns are bit-identical to the integer PE emulator's
+round-at-end datapath (see ``docs/fpga-emulation.md``).
 """
 
 import numpy as np

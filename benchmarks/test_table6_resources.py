@@ -7,8 +7,8 @@ logic with bit-width and the >50 % Hybrid-2 reduction.
 
 The datapath the resource counts describe is the one
 ``repro.fpga.emu`` executes bit-accurately (lanes, segmented DSP
-multiplies, adder tree, rounding) — ``REPRO_PE=emu`` runs the
-accuracy tables on exactly that emulated arithmetic.
+multiplies, adder tree, rounding); the accuracy tables' modeled path
+is bitwise that emulated arithmetic.
 """
 
 import pytest

@@ -8,7 +8,7 @@ adapter               wraps
 ``LearnedBeamformer`` a trained model (Tiny-VBF / Tiny-CNN / FCNN) plus
                       its input layout, loaded from the weight cache
 ``QuantizedBeamformer``  Tiny-VBF through the simulated FPGA datapath
-                      (:class:`~repro.fpga.accelerator.TinyVbfAccelerator`)
+                      (:class:`~repro.quant.qexec.QuantizedModel`)
                       under a Table-III quantization scheme
 ====================  ===================================================
 
@@ -221,11 +221,13 @@ class QuantizedBeamformer(LearnedBeamformer):
 
     Shares :class:`LearnedBeamformer`'s input preparation — including
     the silent-frame normalization guard — and swaps the float forward
-    pass for the bit-accurate quantized one.  ``pe=`` selects the
-    substrate: ``None`` keeps the modeled fake-quantized path,
-    ``"emu"`` runs the round-at-the-end integer PE emulator and
-    ``"emu-per-level"`` its per-level-rounding variant (see
-    :mod:`repro.fpga.emu` and docs/fpga-emulation.md).
+    pass for the bit-accurate quantized one
+    (:class:`~repro.quant.qexec.QuantizedModel`), which runs on the
+    float64 reference kernels whatever ``backend`` the RF front end is
+    bound to.  ``pe=`` selects the datapath: ``None`` the modeled path
+    (bit for bit the round-at-the-end integer PE), ``"emu-per-level"``
+    the per-level-rounding PE emulator (see :mod:`repro.fpga.emu` and
+    docs/fpga-emulation.md).
     """
 
     def __init__(
@@ -238,7 +240,7 @@ class QuantizedBeamformer(LearnedBeamformer):
         pe: str | None = None,
     ) -> None:
         from repro.fpga.accelerator import TinyVbfAccelerator
-        from repro.quant.qexec import resolve_pe_mode
+        from repro.quant.qexec import QuantizedModel
 
         if isinstance(scheme, str):
             require_in("scheme", scheme, tuple(SCHEMES))
@@ -250,17 +252,10 @@ class QuantizedBeamformer(LearnedBeamformer):
         self.scheme = scheme
         self.name = f"tiny_vbf@{scheme.name}"
         self.accelerator = TinyVbfAccelerator(self.model, scheme)
-        self._pe_mode = resolve_pe_mode(pe)
-        self.pe = pe
+        self.quantized = QuantizedModel(self.model, scheme, pe=pe)
 
     def _forward(self, x: Array) -> Array:
-        if self._pe_mode is not None:
-            from repro.backend.pe_emu import emulated_pe_scope
-
-            with emulated_pe_scope(self.scheme, self._pe_mode):
-                emulated: Array = self.accelerator.run(x)
-                return emulated
-        y: Array = self.accelerator.run(x)
+        y: Array = self.quantized(x)
         return y
 
     def beamform_batch(self, datasets: Sequence[Any]) -> list[Array]:
@@ -278,6 +273,6 @@ class QuantizedBeamformer(LearnedBeamformer):
         description = super().describe()
         description.update(
             name=self.name, backend="fpga", scheme=self.scheme.name,
-            pe=self.pe or "modeled",
+            pe=self.quantized.pe or "modeled",
         )
         return description

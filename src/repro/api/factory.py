@@ -93,10 +93,10 @@ def create_beamformer(
         **kwargs: forwarded to the factory (e.g. ``f_number`` for DAS,
             ``config`` for MVDR, ``backend=`` — a registered
             :mod:`repro.backend` name such as ``"numpy-fast"`` — for
-            every built-in adapter, and ``pe=`` — ``"emu"`` or
-            ``"emu-per-level"`` — to run a quantized
-            ``tiny_vbf@<scheme>`` spec on the bit-accurate integer PE
-            emulator instead of the modeled float datapath).
+            every built-in adapter, and ``pe=`` — ``None`` (the
+            modeled datapath) or ``"emu-per-level"`` (the
+            per-level-rounding integer PE emulator) — for a quantized
+            ``tiny_vbf@<scheme>`` spec).
 
     Returns:
         A ready-to-use :class:`Beamformer`.

@@ -17,11 +17,11 @@ call site, per thread, or process-wide::
 
 Built-ins: ``numpy`` (reference, bit-for-bit the pre-dispatch numerics),
 ``numpy-fast`` (float32 accumulation, fused/cached gathers, scratch
-reuse), ``pe-emu`` (quantized GEMMs through the bit-accurate integer
-PE emulator inside an ``emulated_pe_scope``, exact ``numpy`` proxy
-outside one; see ``repro.backend.pe_emu``) and — on hosts with a C
-compiler — ``cnative`` (runtime-compiled C kernels, threaded and
-fused; see ``repro.backend.cnative``).  New
+reuse) and — on hosts with a C compiler — ``cnative``
+(runtime-compiled C kernels, threaded and fused; see
+``repro.backend.cnative``).  The quantized forward always runs on
+``numpy``: its float64 partial sums are what make it exact to the
+fixed-point datapath (see ``repro.quant.qexec``).  New
 backends register with :func:`register_backend` and are certified by
 the conformance suite in ``tests/backend`` automatically — see
 DESIGN.md §4 for the dispatch rules and the how-to.
@@ -43,29 +43,18 @@ from repro.backend.base import (
 )
 from repro.backend.cnative import register_cnative_backend
 from repro.backend.fast import NumpyFastBackend
-from repro.backend.pe_emu import (
-    EmulationSpec,
-    PeEmuBackend,
-    current_emulation,
-    emulated_pe_scope,
-)
 from repro.backend.reference import NumpyBackend, flat_matmul
 
 register_backend(NumpyBackend())
 register_backend(NumpyFastBackend())
-register_backend(PeEmuBackend())
 register_cnative_backend()
 
 __all__ = [
     "Array",
     "ArrayBackend",
-    "EmulationSpec",
     "NumpyBackend",
     "NumpyFastBackend",
-    "PeEmuBackend",
     "available_backends",
-    "current_emulation",
-    "emulated_pe_scope",
     "backend_unavailable_reason",
     "mark_backend_unavailable",
     "register_cnative_backend",

@@ -6,19 +6,20 @@ multiplications feeding an adder tree (Figs. 5-8) — and reports resource
 utilization per quantization scheme (Table VI).  No FPGA exists in this
 environment, so this package simulates the accelerator's observables:
 
-* :mod:`repro.fpga.pe` — bit-accurate processing element (16 multipliers
-  + adder tree) operating on fixed-point values,
+* :mod:`repro.fpga.pe` — processing-element geometry (16 multipliers
+  + adder tree),
+* :mod:`repro.fpga.emu` — the PE model: its integer datapath, lane by
+  lane, with round-at-the-end or per-level rounding,
 * :mod:`repro.fpga.memory` — BRAM capacity model (36 Kb blocks, 18-bit
   port packing),
 * :mod:`repro.fpga.scheduler` — op-level cycle schedule of the Tiny-VBF
   graph on the 4-PE array at 100 MHz,
-* :mod:`repro.fpga.accelerator` — end-to-end accelerator run: quantized
-  outputs plus the cycle/latency/memory report,
+* :mod:`repro.fpga.accelerator` — the cycle/latency/memory report of
+  one model and scheme,
 * :mod:`repro.fpga.resources` — resource/power model calibrated against
   the paper's published Table VI.
 """
 
-from repro.fpga.pe import AdderTree, ProcessingElement
 from repro.fpga.memory import BramPlan, bram_blocks_for
 from repro.fpga.scheduler import (
     CLOCK_HZ,
@@ -34,8 +35,6 @@ from repro.fpga.resources import (
 )
 
 __all__ = [
-    "ProcessingElement",
-    "AdderTree",
     "BramPlan",
     "bram_blocks_for",
     "CLOCK_HZ",

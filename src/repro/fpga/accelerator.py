@@ -1,11 +1,10 @@
-"""End-to-end accelerator simulation.
+"""Accelerator model of one Tiny-VBF deployment.
 
 :class:`TinyVbfAccelerator` binds a trained Tiny-VBF model to a
-quantization scheme and produces everything the paper reports about the
-FPGA deployment:
+quantization scheme and reports what the paper reports about the FPGA
+deployment (the images themselves come from
+:class:`repro.quant.qexec.QuantizedModel`):
 
-* bit-accurate quantized outputs (identical quantization points as the
-  hardware datapath, via :mod:`repro.quant.qexec`),
 * the cycle schedule and frame latency at 100 MHz,
 * the BRAM plan for weights, activations and attention scores,
 * the resource/power estimate for the scheme.
@@ -15,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.fpga.memory import BramPlan
 from repro.fpga.resources import ResourceEstimate, estimate_resources
 from repro.fpga.scheduler import ScheduleReport, schedule_tiny_vbf
 from repro.models.tiny_vbf import TinyVbfNetwork
 from repro.nn import Model
-from repro.quant.qexec import quantized_forward
 from repro.quant.schemes import QuantizationScheme
 
 _FLOAT_BITS = 32
@@ -64,11 +60,6 @@ class TinyVbfAccelerator:
         self.model = model
         self.scheme = scheme
         self.config = model.root.config
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Execute one (batched) frame on the quantized datapath."""
-        return quantized_forward(self.model.root, np.asarray(x, float),
-                                 self.scheme)
 
     def plan_memory(self) -> BramPlan:
         """BRAM allocation: weights, ping-pong activations, scores."""

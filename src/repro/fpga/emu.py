@@ -1,15 +1,13 @@
 """Bit-accurate integer-datapath PE emulation (the pe_test pipeline).
 
-:mod:`repro.fpga.pe` models the accelerator's processing element as a
-*float* pipeline that re-quantizes after every tree level — faithful to
-the per-level-rounding registers of Fig. 8b, but still floating point
-under the hood.  This module emulates the PE the way the RTL testbench
-sees it: operands are converted to their formats' raw integer step
-counts, multiplied per lane with a DSP-style **segmented multiply**,
-aligned, and accumulated **at full width** across the 16 lanes and all
-chunks; the result is quantized exactly once at the end
-(``round_at_end``), or after every product/tree level/accumulator add
-(``per_level``, matching :class:`repro.fpga.pe.ProcessingElement`).
+This is the model of the accelerator's processing element (Fig. 8b),
+emulated the way the RTL testbench sees it: operands are converted to
+their formats' raw integer step counts, multiplied per lane with a
+DSP-style **segmented multiply**, aligned, and accumulated **at full
+width** across the 16 lanes and all chunks; the result is quantized
+exactly once at the end (``round_at_end``), or after every product,
+tree level and accumulator add (``per_level``, the per-level-rounding
+registers).
 
 Datapath (``round_at_end``)::
 
@@ -28,12 +26,14 @@ golden testbench under ``tests/golden/pe`` pins both modes bit-for-bit
 against a slow pure-Python reference and pins engineered cases where
 the modes *must* diverge, so they can never be silently conflated.
 
-Equivalence to :mod:`repro.quant.qexec`: the fake-quantized executor
-computes ``fmt.quantize(x @ w)`` — a float dot product rounded *once*.
-Whenever every partial sum is float64-exact (true for Table-III word
-lengths at realistic magnitudes), that is precisely the round-at-end
-integer pipeline, which is why ``pe="emu"`` reproduces the modeled
-tables bit-for-bit while actually exercising the hardware datapath.
+Equivalence to :mod:`repro.quant.qexec`: the modeled executor computes
+``fmt.quantize(x @ w)`` on the float64 reference kernels — a float dot
+product rounded *once*.  Every partial sum is float64-exact for the
+Table-III word lengths at realistic magnitudes, so that is precisely
+the round-at-end integer pipeline: run under
+``qexec.pe_rounding("round_at_end")`` the emulator is the modeled
+path's oracle, and ``pe="emu-per-level"`` serves the ``per_level``
+datapath.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ SEGMENT_BITS = 17
 #: the full-width accumulate and the single final round.
 _ROUND_AT_END_DRAIN = 2 + _TREE_LEVELS + 1 + 1
 
-#: Drain of the per-level pipeline — identical to
-#: :class:`repro.fpga.pe.ProcessingElement` (tree levels + accumulator).
+#: Drain of the per-level pipeline: the tree levels plus the
+#: accumulator register.
 _PER_LEVEL_DRAIN = _TREE_LEVELS + 1
 
 #: Accumulators wider than this fall back to Python-int (object dtype)
@@ -126,8 +126,8 @@ class EmulatedPE:
         b_format: format of the stationary operand (weights); defaults
             to ``arithmetic``.
         rounding_mode: ``"round_at_end"`` (pe_test pipeline, the
-            hardware datapath) or ``"per_level"`` (bit-compatible with
-            :class:`repro.fpga.pe.ProcessingElement`).
+            hardware datapath) or ``"per_level"`` (every product, tree
+            level and accumulator add rounded and saturated).
         lanes: multiplier lanes per chunk (the paper's PE has 16).
 
     Operands are quantized to their formats on entry (idempotent for
@@ -309,9 +309,8 @@ class EmulatedPE:
         """Row-wise ``matrix @ vector`` with the pipelined cycle count.
 
         ``matrix`` rows stream through the lanes (``a_format``), the
-        stationary ``vector`` holds the weights (``b_format``) — the
-        same operand roles as
-        :meth:`repro.fpga.pe.ProcessingElement.matvec`.
+        stationary ``vector`` holds the weights (``b_format``); rows
+        pipeline back to back, so the drain is paid once.
         """
         matrix = np.asarray(matrix, dtype=float)
         vector = np.asarray(vector, dtype=float).ravel()
@@ -389,10 +388,8 @@ class EmulatedPE:
     ) -> np.ndarray:
         """Per-product round + saturating tree/accumulator adds.
 
-        Bit-compatible with the float
-        :class:`repro.fpga.pe.ProcessingElement` on on-grid operands:
-        rounding a sum of on-grid values is the identity, so the float
-        tree's quantize-per-level reduces to the saturation this path
+        Rounding a sum of on-grid values is the identity, so quantizing
+        after every tree level reduces to the saturation this path
         applies after every add.
         """
         assert self.arithmetic is not None

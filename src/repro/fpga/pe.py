@@ -1,124 +1,11 @@
-"""Processing element: 16 multipliers + adder tree (paper Fig. 8b).
+"""Processing-element geometry: 16 multipliers + adder tree (Fig. 8b).
 
 Each PE consumes 16 operand pairs per cycle, multiplies them element-wise
-and reduces the products through a 4-level binary adder tree.  Every
-arithmetic result is snapped to the scheme's arithmetic format, exactly
-as the fixed-width datapath registers would, so the PE output is
-bit-accurate with respect to the quantized execution model
-(:mod:`repro.quant.qexec`).
+and reduces the products through a 4-level binary adder tree.  The
+scheduler and the resource report size the array from these constants;
+:class:`repro.fpga.emu.EmulatedPE` is the PE model that computes with
+them.
 """
-
-from __future__ import annotations
-
-import numpy as np
-
-from repro.quant.fixed_point import FixedPointFormat
 
 PE_LANES = 16
 _TREE_LEVELS = 4  # log2(PE_LANES)
-
-
-class AdderTree:
-    """Binary adder tree over ``PE_LANES`` inputs with per-level rounding."""
-
-    def __init__(self, arithmetic: FixedPointFormat | None) -> None:
-        self.arithmetic = arithmetic
-
-    def reduce(self, products: np.ndarray) -> float | np.ndarray:
-        """Sum 16 products pairwise, quantizing after every level.
-
-        Returns a Python ``float`` for a single lane vector and an
-        array of per-batch sums for batched ``(..., 16)`` input (the
-        historical annotation promised ``float`` but batched callers
-        received a 0-d/1-d array — the contract now says so).
-        """
-        values = np.asarray(products, dtype=float)
-        if values.shape[-1] != PE_LANES:
-            raise ValueError(
-                f"adder tree expects {PE_LANES} inputs, got "
-                f"{values.shape[-1]}"
-            )
-        for _ in range(_TREE_LEVELS):
-            values = values[..., 0::2] + values[..., 1::2]
-            if self.arithmetic is not None:
-                values = self.arithmetic.quantize(values)
-        result = values[..., 0]
-        if result.ndim == 0:
-            return float(result)
-        return result
-
-    @property
-    def latency_cycles(self) -> int:
-        """Pipeline depth of the tree (one level per cycle)."""
-        return _TREE_LEVELS
-
-
-class ProcessingElement:
-    """One PE: 16-lane multiplier bank feeding an adder tree.
-
-    ``dot`` computes a full dot product by streaming 16-element chunks
-    through the PE; the cycle count models an initiation-interval-1
-    pipeline (one chunk per cycle) plus the tree/accumulator drain.
-    """
-
-    def __init__(self, arithmetic: FixedPointFormat | None) -> None:
-        self.arithmetic = arithmetic
-        self.tree = AdderTree(arithmetic)
-
-    def _quantize(self, values: np.ndarray) -> np.ndarray:
-        if self.arithmetic is None:
-            return values
-        return self.arithmetic.quantize(values)
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
-        """Dot product of two 1-D operand vectors.
-
-        Returns ``(value, cycles)``.  Vectors are zero-padded to a
-        multiple of 16 lanes (zero lanes are free — the hardware feeds
-        zeros too).
-        """
-        a = np.asarray(a, dtype=float).ravel()
-        b = np.asarray(b, dtype=float).ravel()
-        if a.shape != b.shape:
-            raise ValueError(
-                f"operand shapes differ: {a.shape} vs {b.shape}"
-            )
-        n_chunks = max(1, int(np.ceil(a.size / PE_LANES)))
-        padded = n_chunks * PE_LANES
-        a_pad = np.zeros(padded)
-        b_pad = np.zeros(padded)
-        a_pad[: a.size] = a
-        b_pad[: b.size] = b
-
-        accumulator = 0.0
-        for chunk in range(n_chunks):
-            lanes = slice(chunk * PE_LANES, (chunk + 1) * PE_LANES)
-            products = self._quantize(a_pad[lanes] * b_pad[lanes])
-            partial = self.tree.reduce(products)
-            accumulator = float(
-                self._quantize(np.asarray(accumulator + partial))
-            )
-        cycles = n_chunks + self.tree.latency_cycles + 1
-        return accumulator, cycles
-
-    def matvec(
-        self, matrix: np.ndarray, vector: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Matrix-vector product, one output element at a time.
-
-        Returns ``(values, cycles)`` with rows pipelined back-to-back
-        (the tree drain overlaps the next row's chunks).
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != np.asarray(vector).size:
-            raise ValueError(
-                f"matrix {matrix.shape} incompatible with vector of size "
-                f"{np.asarray(vector).size}"
-            )
-        outputs = np.empty(matrix.shape[0])
-        chunk_cycles = 0
-        for row in range(matrix.shape[0]):
-            value, cycles = self.dot(matrix[row], vector)
-            outputs[row] = value
-            chunk_cycles += cycles - self.tree.latency_cycles - 1
-        return outputs, chunk_cycles + self.tree.latency_cycles + 1

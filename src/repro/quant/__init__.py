@@ -8,10 +8,11 @@ intermediate results (20 or 16 bits).  This package implements:
 * :mod:`repro.quant.fixed_point` — saturating round-to-nearest fixed
   point formats,
 * :mod:`repro.quant.schemes` — the paper's quantization schemes,
-* :mod:`repro.quant.qexec` — a quantized forward executor that applies
-  the scheme at the same datapath points the FPGA accelerator does
-  (weights at load, products/sums at the arithmetic width, layer outputs
-  at the intermediate width, softmax at its own width).
+* :mod:`repro.quant.qexec` — the quantized forward executor, which
+  applies the scheme at the same datapath points the FPGA accelerator
+  does (weights, products/sums at the arithmetic width, layer outputs
+  at the intermediate width, softmax at its own width) on the float64
+  reference kernels, bit for bit the PE's integer datapath.
 """
 
 from repro.quant.fixed_point import FixedPointFormat
@@ -23,7 +24,7 @@ from repro.quant.schemes import (
     QuantizationScheme,
     uniform_scheme,
 )
-from repro.quant.qexec import QuantizedModel, quantized_forward
+from repro.quant.qexec import QuantizedModel, pe_rounding, quantized_forward
 
 __all__ = [
     "FixedPointFormat",
@@ -34,5 +35,6 @@ __all__ = [
     "SCHEMES",
     "uniform_scheme",
     "QuantizedModel",
+    "pe_rounding",
     "quantized_forward",
 ]

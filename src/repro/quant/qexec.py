@@ -3,8 +3,8 @@
 Runs a trained model under a :class:`QuantizationScheme`, applying fixed
 point exactly where the FPGA datapath does:
 
-* parameters are quantized at load time (``weights`` format; biases live
-  in the accumulator, so they use the ``arithmetic`` format),
+* parameters are quantized on every forward (``weights`` format; biases
+  live in the accumulator, so they use the ``arithmetic`` format),
 * every multiply/accumulate result is quantized to the ``arithmetic``
   format,
 * every layer output written back to memory is quantized to the
@@ -15,15 +15,27 @@ point exactly where the FPGA datapath does:
   evaluated exactly and re-quantized on output (paper Section III-D).
 
 This is "fake quantization": values stay float64 but are snapped to the
-representable grid, which is numerically identical to the integer
-datapath for these word lengths.
+representable grid.  Every kernel runs on the float64 ``numpy``
+reference backend, whatever backend the caller has selected: a 20-bit
+by 20-bit product needs 40 bits and float32 keeps 24, whereas float64
+partial sums stay exact for the Table-III word lengths.  Rounding each
+GEMM result once is then bit for bit the PE's round-at-the-end integer
+datapath (:class:`repro.fpga.emu.EmulatedPE`).
+
+:func:`pe_rounding` runs the three GEMM sites on that emulator instead:
+``"round_at_end"`` is the oracle for the modeled path, ``"per_level"``
+the per-product-rounding datapath behind ``pe="emu-per-level"``.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
+
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import get_backend, use_backend
 from repro.models.tiny_vbf import TinyVbfNetwork
 from repro.nn.layers.activations import ReLU, Softmax, Tanh, softmax
 from repro.nn.layers.attention import MultiHeadAttention
@@ -34,7 +46,57 @@ from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import LearnedPositionalEmbedding
 from repro.nn.layers.layernorm import LayerNorm
 from repro.nn.layers.patches import Patchify, Unpatchify
+from repro.quant.fixed_point import FixedPointFormat
 from repro.quant.schemes import QuantizationScheme
+
+if TYPE_CHECKING:  # lazy at runtime: repro.fpga imports repro.quant
+    from repro.fpga.emu import EmulatedPE
+
+_rounding = threading.local()
+
+
+@contextmanager
+def pe_rounding(mode: str) -> Iterator[None]:
+    """Run this thread's quantized GEMMs on the integer PE emulator.
+
+    ``mode`` is a :data:`repro.fpga.emu.ROUNDING_MODES` member.  The
+    setting is thread-local, so a serve worker arms it around its own
+    forward and concurrent beamformers never see each other's mode.
+    """
+    from repro.fpga.emu import ROUNDING_MODES
+
+    if mode not in ROUNDING_MODES:
+        raise ValueError(
+            f"rounding mode must be one of {ROUNDING_MODES}, got {mode!r}"
+        )
+    previous = getattr(_rounding, "mode", None)
+    _rounding.mode = mode
+    try:
+        yield
+    finally:
+        _rounding.mode = previous
+
+
+def _emulated_pe(
+    scheme: QuantizationScheme,
+    a_format: FixedPointFormat | None,
+    b_format: FixedPointFormat | None,
+) -> "EmulatedPE | None":
+    """The PE for one GEMM site, or ``None`` for the reference kernel.
+
+    The operand roles are the datapath's: activations x weights for the
+    dense layers, q x k for attention scores and probabilities x v for
+    the attention context.
+    """
+    mode = getattr(_rounding, "mode", None)
+    if mode is None or scheme.arithmetic is None:
+        return None
+    from repro.fpga.emu import EmulatedPE
+
+    return EmulatedPE(
+        scheme.arithmetic, a_format=a_format, b_format=b_format,
+        rounding_mode=mode,
+    )
 
 
 def _q(fmt, values: np.ndarray) -> np.ndarray:
@@ -50,6 +112,13 @@ def quantized_forward(
     """Evaluate ``layer`` on ``x`` under ``scheme`` (see module doc)."""
     if scheme.is_float:
         return layer.forward(x, training=False)
+
+    reference = get_backend("numpy")
+    if get_backend() is not reference:
+        # Float32 kernels would round the products of the wider
+        # schemes; the reference keeps them exact (module docstring).
+        with use_backend(reference):
+            return quantized_forward(layer, x, scheme)
 
     if isinstance(layer, Sequential):
         for child in layer.layers:
@@ -71,14 +140,7 @@ def quantized_forward(
         return quantized_forward(layer.head, combined, scheme)
 
     if isinstance(layer, Dense):
-        weight = _q(scheme.weights, layer.weight.value)
-        y = _q(scheme.arithmetic, get_backend().matmul(x, weight))
-        if layer.bias is not None:
-            y = _q(
-                scheme.arithmetic, y + _q(scheme.arithmetic,
-                                          layer.bias.value)
-            )
-        return _q(scheme.intermediate, y)
+        return _quantized_dense(layer, x, scheme)
 
     if isinstance(layer, MultiHeadAttention):
         return _quantized_attention(layer, x, scheme)
@@ -113,49 +175,55 @@ def quantized_forward(
     )
 
 
+def _quantized_dense(
+    layer: Dense, x: np.ndarray, scheme: QuantizationScheme
+) -> np.ndarray:
+    """``x @ W + b`` on the PE: activations x weights."""
+    weight = _q(scheme.weights, layer.weight.value)
+    pe = _emulated_pe(scheme, scheme.intermediate, scheme.weights)
+    gemm = get_backend().matmul if pe is None else pe.matmul
+    y = _q(scheme.arithmetic, gemm(x, weight))
+    if layer.bias is not None:
+        y = _q(scheme.arithmetic,
+               y + _q(scheme.arithmetic, layer.bias.value))
+    return _q(scheme.intermediate, y)
+
+
 def _quantized_attention(
     layer: MultiHeadAttention, x: np.ndarray, scheme: QuantizationScheme
 ) -> np.ndarray:
     """MHA under quantization: Figs. 6-8 of the paper's accelerator."""
     backend = get_backend()
-
-    def project(dense: Dense) -> np.ndarray:
-        weight = _q(scheme.weights, dense.weight.value)
-        y = _q(scheme.arithmetic, backend.matmul(x, weight))
-        if dense.bias is not None:
-            y = _q(scheme.arithmetic, y + _q(scheme.arithmetic,
-                                             dense.bias.value))
-        return _q(scheme.intermediate, y)
-
-    q = layer._split_heads(project(layer.query))
-    k = layer._split_heads(project(layer.key))
-    v = layer._split_heads(project(layer.value))
+    q = layer._split_heads(_quantized_dense(layer.query, x, scheme))
+    k = layer._split_heads(_quantized_dense(layer.key, x, scheme))
+    v = layer._split_heads(_quantized_dense(layer.value, x, scheme))
 
     scale = 1.0 / np.sqrt(layer.head_dim)
+    # Raw GEMM results stay temporaries: the score tensors are the
+    # largest arrays in the block.
+    pe = _emulated_pe(scheme, scheme.intermediate, scheme.intermediate)
     scores = _q(
-        scheme.arithmetic, backend.attention_scores(q, k, scale)
+        scheme.arithmetic,
+        backend.attention_scores(q, k, scale) if pe is None
+        else pe.matmul(q, np.swapaxes(k, -1, -2), scale=scale),
     )
     attention = _q(scheme.softmax, softmax(scores, axis=-1))
-    context = _q(
-        scheme.arithmetic, backend.attention_context(attention, v)
-    )
-    merged = layer._merge_heads(context)
 
-    weight = _q(scheme.weights, layer.output.weight.value)
-    out = _q(scheme.arithmetic, backend.matmul(merged, weight))
-    if layer.output.bias is not None:
-        out = _q(scheme.arithmetic,
-                 out + _q(scheme.arithmetic, layer.output.bias.value))
-    return _q(scheme.intermediate, out)
+    pe = _emulated_pe(scheme, scheme.softmax, scheme.intermediate)
+    context = _q(
+        scheme.arithmetic,
+        backend.attention_context(attention, v) if pe is None
+        else pe.matmul(attention, v),
+    )
+    return _quantized_dense(layer.output, layer._merge_heads(context),
+                            scheme)
 
 
 #: ``pe=`` knob values -> :mod:`repro.fpga.emu` rounding modes.  ``None``
-#: keeps the modeled (fake-quantized) float path; ``"emu"`` runs the
-#: round-at-the-end integer pipeline; ``"emu-per-level"`` the legacy
-#: per-level-rounding tree.
+#: keeps the modeled path; ``"emu-per-level"`` runs the GEMMs on the
+#: per-level-rounding integer PE.
 PE_MODES: dict[str | None, str | None] = {
     None: None,
-    "emu": "round_at_end",
     "emu-per-level": "per_level",
 }
 
@@ -171,11 +239,11 @@ def resolve_pe_mode(pe: str | None) -> str | None:
 class QuantizedModel:
     """A trained model bound to a quantization scheme.
 
-    ``pe`` selects the execution substrate: ``None`` (default) keeps
-    the modeled fake-quantized path; ``"emu"`` / ``"emu-per-level"``
-    route every quantized GEMM through the bit-accurate integer PE
-    emulator (:mod:`repro.fpga.emu`) via an
-    :class:`~repro.backend.pe_emu.emulated_pe_scope`.
+    The one quantized forward entry point.  ``pe`` selects the
+    datapath: ``None`` (default) the modeled path, which is the
+    round-at-the-end integer PE bit for bit; ``"emu-per-level"`` the
+    per-level-rounding PE (:mod:`repro.fpga.emu`), armed with
+    :func:`pe_rounding` around each forward.
     """
 
     def __init__(
@@ -187,15 +255,11 @@ class QuantizedModel:
         self.pe = pe
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self._pe_mode is not None:
-            from repro.backend.pe_emu import emulated_pe_scope
-
-            with emulated_pe_scope(self.scheme, self._pe_mode):
-                return quantized_forward(
-                    self.model.root, np.asarray(x, float), self.scheme
-                )
-        return quantized_forward(self.model.root, np.asarray(x, float),
-                                 self.scheme)
+        x = np.asarray(x, float)
+        if self._pe_mode is None:
+            return quantized_forward(self.model.root, x, self.scheme)
+        with pe_rounding(self._pe_mode):
+            return quantized_forward(self.model.root, x, self.scheme)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

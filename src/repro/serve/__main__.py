@@ -79,14 +79,6 @@ def add_beamformer_args(parser: argparse.ArgumentParser) -> None:
         "--scale", choices=("small", "paper"), default="small"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--pe-emu",
-        action="store_true",
-        help="quantized 'tiny_vbf@<scheme>' specs only: execute the "
-        "GEMMs on the bit-accurate integer PE emulator "
-        "(repro.fpga.emu, round-at-the-end pipeline) instead of the "
-        "modeled fake-quantized datapath",
-    )
 
 
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -301,16 +293,12 @@ def make_beamformer(args: argparse.Namespace):
             from repro.models.registry import build_model
 
             model = build_model(name, args.scale, seed=args.seed)
-    kwargs = {}
-    if getattr(args, "pe_emu", False):
-        kwargs["pe"] = "emu"
     return create_beamformer(
         args.beamformer,
         scale=args.scale,
         seed=args.seed,
         model=model,
         backend=args.backend,
-        **kwargs,
     )
 
 

@@ -29,9 +29,9 @@ from repro.beamform.das import das_beamform
 from repro.beamform.mvdr import mvdr_beamform
 from repro.beamform.tof import analytic_tofc, clear_tof_plan_cache, \
     tof_plan_cache_stats
-from repro.fpga.accelerator import TinyVbfAccelerator
 from repro.models.common import stacked_to_complex
 from repro.models.registry import build_model, model_input
+from repro.quant.qexec import QuantizedModel
 from repro.quant.schemes import SCHEMES
 
 
@@ -100,6 +100,15 @@ class TestFactory:
     def test_scheme_on_baseline_model_rejected(self):
         with pytest.raises(ValueError, match="tiny_vbf"):
             create_beamformer("tiny_cnn@float")
+
+    def test_pe_on_unquantized_specs_rejected(self, untrained_models):
+        with pytest.raises(ValueError, match="no PE datapath"):
+            create_beamformer("das", pe="emu-per-level")
+        with pytest.raises(ValueError, match="requires a quantized spec"):
+            create_beamformer(
+                "tiny_vbf", model=untrained_models["tiny_vbf"],
+                pe="emu-per-level",
+            )
 
     def test_unknown_scheme_rejected(self, untrained_models):
         with pytest.raises(ValueError):
@@ -208,8 +217,9 @@ class TestLearnedParity:
         model = untrained_models["tiny_vbf"]
         tofc = _legacy_tofc(ds)
         x = model_input("tiny_vbf", tofc / np.abs(tofc).max())
-        accelerator = TinyVbfAccelerator(model, SCHEMES["20 bits"])
-        legacy = stacked_to_complex(accelerator.run(x)[0])
+        legacy = stacked_to_complex(
+            QuantizedModel(model, SCHEMES["20 bits"])(x)[0]
+        )
         new = create_beamformer(
             "tiny_vbf@20 bits", model=model
         ).beamform(ds)

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from repro.api import LearnedBeamformer
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends, get_backend, use_backend
 from repro.beamform.geometry import ImagingGrid
 from repro.beamform.tof import clear_tof_plan_cache
+from repro.models.registry import build_model
+from repro.quant import SCHEMES, QuantizedModel, pe_rounding
 from repro.ultrasound.probe import LinearProbe
 from repro.ultrasound.wavefield import plane_wave_tx_delay, rx_delay
 
@@ -117,3 +119,33 @@ def tiny_learned():
         )
 
     return _make
+
+
+@pytest.fixture(scope="session")
+def serving_tiny_vbf():
+    """The small Tiny-VBF that serving builds, and a seeded input."""
+    model = build_model("tiny_vbf", "small", seed=0)
+    x = np.random.default_rng(0).uniform(
+        -1.0, 1.0, (1, *model.root.config.frame_shape)
+    )
+    return model, x
+
+
+@pytest.fixture(scope="session")
+def quantized_reference(serving_tiny_vbf):
+    """Per scheme: the ``numpy`` quantized forward and the round-at-end
+    PE emulator's, each computed once."""
+    model, x = serving_tiny_vbf
+    computed = {}
+
+    def _get(name: str) -> tuple[np.ndarray, np.ndarray]:
+        if name not in computed:
+            scheme = SCHEMES[name]
+            with use_backend("numpy"):
+                reference = QuantizedModel(model, scheme)(x)
+            with pe_rounding("round_at_end"):
+                oracle = QuantizedModel(model, scheme)(x)
+            computed[name] = reference, oracle
+        return computed[name]
+
+    return _get

@@ -8,7 +8,9 @@ drop-in for the hot paths:
 * bitwise batch-invariance (``beamform_batch`` == per-frame loop),
 * serve-vs-offline parity through the streaming engine,
 * quantized-execution contracts (float scheme is the identity, outputs
-  live on the quantization grid, quantization error is bounded),
+  live on the quantization grid, quantization error is bounded, and
+  every quantized scheme is bitwise the ``numpy`` result and the
+  round-at-end PE emulator's),
 * DAS point-target focus (the physics smoke test: delays must actually
   delay),
 * cross-backend agreement with the ``numpy`` reference within each
@@ -20,6 +22,7 @@ import pytest
 
 from repro.api import DasBeamformer, QuantizedBeamformer, dataset_tofc
 from repro.backend import get_backend, use_backend
+from repro.quant import QuantizedModel
 from repro.quant.schemes import SCHEMES
 from repro.serve import ReplaySource, ServeEngine
 
@@ -207,6 +210,29 @@ class TestQuantContracts:
         assert error <= 0.05 * scale, (
             f"20-bit quantization error {error:.3e} exceeds 5% of the "
             f"image scale {scale:.3e} on backend {backend_name!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "name", [name for name, s in SCHEMES.items() if not s.is_float]
+    )
+    def test_quantized_forward_is_the_integer_datapath(
+        self, backend_name, name, serving_tiny_vbf, quantized_reference
+    ):
+        """The quantized forward is bitwise the ``numpy`` result on
+        every backend, and so is the round-at-end PE emulator."""
+        model, x = serving_tiny_vbf
+        reference, oracle = quantized_reference(name)
+        with use_backend(backend_name):
+            actual = QuantizedModel(model, SCHEMES[name])(x)
+        assert actual.dtype == reference.dtype
+        assert np.array_equal(actual, reference), (
+            f"{name} on backend {backend_name!r}: "
+            f"{np.mean(actual != reference):.1%} of output elements "
+            f"differ from the numpy reference"
+        )
+        assert np.array_equal(oracle, reference), (
+            f"{name}: the round-at-end PE emulator differs from the "
+            f"numpy reference"
         )
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.api import create_beamformer
 from repro.backend import (
     NumpyBackend,
+    NumpyFastBackend,
     available_backends,
     backend_names_and_tolerances,
     get_backend,
@@ -164,6 +165,36 @@ class TestApiIntegration:
             ["--backend", "numpy-fast", "--frames", "2"]
         )
         assert args.backend == "numpy-fast"
+
+    def test_quantized_network_leaves_the_bound_backend(
+        self, tiny_world, tiny_learned
+    ):
+        # The ToF gather runs on the bound backend; the quantized
+        # network runs on the float64 reference, so none of its GEMMs
+        # reach the bound one.
+        calls = []
+
+        class Spy(NumpyFastBackend):
+            name = "test-spy"
+
+            def apply_plan(self, plan, rf):
+                calls.append("apply_plan")
+                return super().apply_plan(plan, rf)
+
+            def matmul(self, x, weight):
+                calls.append("matmul")
+                return super().matmul(x, weight)
+
+        frame = tiny_world["frames"][0]
+        model = tiny_learned("numpy").model
+        create_beamformer(
+            "tiny_vbf@20 bits", model=model, backend=Spy()
+        ).beamform(frame)
+        assert calls == ["apply_plan"]
+        create_beamformer("tiny_vbf", model=model, backend=Spy()).beamform(
+            frame
+        )
+        assert "matmul" in calls[1:]
 
     def test_bound_backend_does_not_leak(self, tiny_world):
         frame = tiny_world["frames"][0]

@@ -6,7 +6,7 @@ import pytest
 from repro.fpga.accelerator import TinyVbfAccelerator
 from repro.models.tiny_vbf import TinyVbfConfig, build_tiny_vbf
 from repro.models.registry import build_model
-from repro.quant.qexec import quantized_forward
+from repro.quant.qexec import QuantizedModel, quantized_forward
 from repro.quant.schemes import FLOAT, HYBRID1, SCHEMES
 
 
@@ -35,17 +35,17 @@ class TestAccelerator:
             TinyVbfAccelerator(model, HYBRID1)
 
     def test_run_matches_quantized_executor(self, tiny_model):
-        accelerator = TinyVbfAccelerator(tiny_model, HYBRID1)
         x = np.random.default_rng(0).uniform(-1, 1, (1, 16, 8, 8))
         assert np.array_equal(
-            accelerator.run(x),
+            QuantizedModel(tiny_model, HYBRID1)(x),
             quantized_forward(tiny_model.root, x, HYBRID1),
         )
 
     def test_float_run_matches_reference_model(self, tiny_model):
-        accelerator = TinyVbfAccelerator(tiny_model, FLOAT)
         x = np.random.default_rng(1).uniform(-1, 1, (1, 16, 8, 8))
-        assert np.allclose(accelerator.run(x), tiny_model.forward(x))
+        assert np.allclose(
+            QuantizedModel(tiny_model, FLOAT)(x), tiny_model.forward(x)
+        )
 
     def test_report_contains_all_sections(self, tiny_model):
         report = TinyVbfAccelerator(tiny_model, HYBRID1).report()

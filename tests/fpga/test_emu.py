@@ -3,7 +3,7 @@
 The golden testbench (``tests/golden/pe``) certifies bit-exactness
 against the slow reference model; this file covers the structural
 contracts — segmented-multiply identity, mode semantics, equivalence to
-the float datapaths it claims to reproduce, cycle accounting, and the
+the modeled datapath it claims to reproduce, cycle accounting, and the
 accumulator-width declaration.
 """
 
@@ -16,8 +16,9 @@ from repro.fpga.emu import (
     EmulatedPE,
     segmented_multiply,
 )
-from repro.fpga.pe import PE_LANES, ProcessingElement
+from repro.fpga.pe import PE_LANES
 from repro.quant.schemes import SCHEMES
+from tests.golden.pe.reference import reference_dot
 
 QUANTIZED = [name for name, s in SCHEMES.items() if not s.is_float]
 
@@ -100,26 +101,30 @@ class TestRoundAtEnd:
 
 
 class TestPerLevel:
-    """per_level == the float ProcessingElement, lane for lane."""
+    """per_level == the slow reference's per-level pipeline, lane for
+    lane, with the per-level drain."""
 
-    def test_dot_bit_matches_processing_element(self, rng, scheme):
-        pe_int = EmulatedPE.for_scheme(scheme, rounding_mode="per_level")
-        pe_float = ProcessingElement(scheme.arithmetic)
+    def test_dot_bit_matches_the_reference(self, rng, scheme):
+        pe = EmulatedPE.for_scheme(scheme, rounding_mode="per_level")
         for n in (1, 16, 17, 48):
             a, b = on_grid_operands(rng, scheme, n, n)
-            value, cycles = pe_int.dot(a, b)
-            ref_value, ref_cycles = pe_float.dot(a, b)
-            assert value == ref_value
-            assert cycles == ref_cycles
+            value, cycles = pe.dot(a, b)
+            assert value == reference_dot(
+                a, b, scheme, rounding_mode="per_level"
+            )
+            assert cycles == -(-n // PE_LANES) + 5
 
-    def test_matvec_bit_matches_processing_element(self, rng, scheme):
+    def test_matvec_bit_matches_the_reference(self, rng, scheme):
         a, b = on_grid_operands(rng, scheme, (7, 33), 33)
-        pe_int = EmulatedPE.for_scheme(scheme, rounding_mode="per_level")
-        pe_float = ProcessingElement(scheme.arithmetic)
-        values, cycles = pe_int.matvec(a, b)
-        ref_values, ref_cycles = pe_float.matvec(a, b)
-        assert np.array_equal(values, ref_values)
-        assert cycles == ref_cycles
+        pe = EmulatedPE.for_scheme(scheme, rounding_mode="per_level")
+        values, cycles = pe.matvec(a, b)
+        expected = [
+            reference_dot(row, b, scheme, rounding_mode="per_level")
+            for row in a
+        ]
+        assert np.array_equal(values, expected)
+        # Rows pipeline back to back: the drain is paid once.
+        assert cycles == 7 * -(-33 // PE_LANES) + 5
 
     def test_diverges_from_round_at_end_where_products_round(self):
         # Products landing exactly between arithmetic steps round per

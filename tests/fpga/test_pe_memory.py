@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fpga.emu import EmulatedPE
 from repro.fpga.memory import BramPlan, bram_blocks_for
-from repro.fpga.pe import PE_LANES, AdderTree, ProcessingElement
+from repro.fpga.pe import PE_LANES
 from repro.quant.fixed_point import FixedPointFormat
 
 
@@ -15,45 +16,52 @@ def arith():
     return FixedPointFormat(total_bits=20, fraction_bits=14)
 
 
-class TestAdderTree:
-    def test_exact_sum_in_float_mode(self):
-        tree = AdderTree(None)
-        values = np.arange(16, dtype=float)
-        assert tree.reduce(values) == pytest.approx(values.sum())
+def per_level(arithmetic=None) -> EmulatedPE:
+    """A PE rounding after every product, tree level and accumulate."""
+    return EmulatedPE(arithmetic, rounding_mode="per_level")
 
-    def test_rejects_wrong_lane_count(self):
-        with pytest.raises(ValueError):
-            AdderTree(None).reduce(np.zeros(8))
+
+class TestPerLevelTree:
+    def test_exact_sum_in_float_mode(self):
+        values = np.arange(16, dtype=float)
+        value, _ = per_level().dot(values, np.ones(PE_LANES))
+        assert value == pytest.approx(values.sum())
+
+    def test_rejects_non_power_of_two_lanes(self):
+        with pytest.raises(ValueError, match="power of two"):
+            EmulatedPE(None, rounding_mode="per_level", lanes=12)
 
     def test_quantized_result_on_grid(self, arith):
-        tree = AdderTree(arith)
         rng = np.random.default_rng(0)
-        out = tree.reduce(rng.uniform(-1, 1, 16))
+        out, _ = per_level(arith).dot(
+            rng.uniform(-1, 1, PE_LANES), np.ones(PE_LANES)
+        )
         steps = out / arith.resolution
         assert steps == pytest.approx(round(steps), abs=1e-9)
 
-    def test_latency_is_log2_lanes(self):
-        assert AdderTree(None).latency_cycles == 4
+    def test_drain_is_log2_lanes_plus_accumulate(self):
+        assert per_level().pipeline_drain_cycles == (
+            int(np.log2(PE_LANES)) + 1
+        )
 
 
-class TestProcessingElement:
+class TestPerLevelPE:
     def test_float_dot_matches_numpy(self):
-        pe = ProcessingElement(None)
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=37), rng.normal(size=37)
-        value, cycles = pe.dot(a, b)
+        value, cycles = per_level().dot(a, b)
         assert value == pytest.approx(np.dot(a, b))
         assert cycles == int(np.ceil(37 / PE_LANES)) + 5
 
     def test_quantized_dot_close_to_exact(self, arith):
-        pe = ProcessingElement(arith)
         rng = np.random.default_rng(2)
-        a, b = rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)
-        value, _ = pe.dot(a, b)
+        a = arith.quantize(rng.uniform(-1, 1, 64))
+        b = arith.quantize(rng.uniform(-1, 1, 64))
+        value, _ = per_level(arith).dot(a, b)
         assert value == pytest.approx(np.dot(a, b), abs=64 * arith.resolution)
 
     def test_matvec_matches_per_row_dots(self, arith):
-        pe = ProcessingElement(arith)
+        pe = per_level(arith)
         rng = np.random.default_rng(3)
         matrix = rng.uniform(-1, 1, (5, 20))
         vector = rng.uniform(-1, 1, 20)
@@ -63,13 +71,12 @@ class TestProcessingElement:
 
     def test_rejects_mismatched_operands(self):
         with pytest.raises(ValueError):
-            ProcessingElement(None).dot(np.zeros(4), np.zeros(5))
+            per_level().dot(np.zeros(4), np.zeros(5))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=70))
     def test_cycles_grow_with_chunks(self, n):
-        pe = ProcessingElement(None)
-        _, cycles = pe.dot(np.ones(n), np.ones(n))
+        _, cycles = per_level().dot(np.ones(n), np.ones(n))
         assert cycles == int(np.ceil(n / PE_LANES)) + 5
 
     def test_pe_lanes_matches_paper(self):
@@ -80,9 +87,7 @@ class TestProcessingElement:
         # The hardware still issues one (all-zero) chunk for a length-0
         # stream: n_chunks is floored at 1, so the cycle count is
         # 1 chunk + 4 tree levels + 1 accumulate.
-        value, cycles = ProcessingElement(None).dot(
-            np.array([]), np.array([])
-        )
+        value, cycles = per_level().dot(np.array([]), np.array([]))
         assert value == 0.0
         assert cycles == 1 + 4 + 1
 
@@ -90,17 +95,8 @@ class TestProcessingElement:
     def test_non_multiple_of_16_cycle_accounting(self, n):
         # Partial chunks are zero-padded to full lane occupancy; the
         # cycle model must charge ceil(n / 16) chunks, never round down.
-        _, cycles = ProcessingElement(None).dot(np.ones(n), np.ones(n))
+        _, cycles = per_level().dot(np.ones(n), np.ones(n))
         assert cycles == -(-n // PE_LANES) + 5
-
-    def test_reduce_returns_float_for_single_vector(self, arith):
-        result = AdderTree(arith).reduce(np.ones(PE_LANES))
-        assert type(result) is float
-
-    def test_reduce_returns_array_for_batched_input(self, arith):
-        batched = AdderTree(arith).reduce(np.ones((3, PE_LANES)))
-        assert isinstance(batched, np.ndarray)
-        assert batched.shape == (3,)
 
 
 class TestBram:

@@ -4,15 +4,23 @@ The paper's accuracy tables (Table IV-VI) were produced by the modeled
 fake-quantized path in :mod:`repro.quant.qexec`; the emulated PE claims
 to compute the *same* numbers on an integer datapath.  This suite pins
 that claim for every scheme in the registry: a full Tiny-VBF forward
-pass under ``pe="emu"`` must be bitwise identical to the plain
-``quantized_forward`` result, and ``pe="emu-per-level"`` must stay
-within the documented per-product rounding envelope.
+pass under the round-at-end oracle (``pe_rounding("round_at_end")``)
+must be bitwise identical to the plain ``quantized_forward`` result,
+and ``pe="emu-per-level"`` must stay within the documented per-product
+rounding envelope.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.quant.qexec import PE_MODES, QuantizedModel, quantized_forward
+from repro.quant.qexec import (
+    PE_MODES,
+    QuantizedModel,
+    pe_rounding,
+    quantized_forward,
+)
 from repro.quant.schemes import SCHEMES
 from tests.golden.cases import golden_model, golden_model_input
 
@@ -31,7 +39,8 @@ class TestEmulatedAgreement:
         model, x = model_and_input
         scheme = SCHEMES[name]
         modeled = quantized_forward(model.root, x, scheme)
-        emulated = QuantizedModel(model, scheme, pe="emu")(x)
+        with pe_rounding("round_at_end"):
+            emulated = QuantizedModel(model, scheme)(x)
         assert emulated.dtype == modeled.dtype
         assert np.array_equal(emulated, modeled), (
             f"{name}: emulated forward diverged from qexec "
@@ -57,13 +66,43 @@ class TestEmulatedAgreement:
                                                     model_and_input):
         model, x = model_and_input
         scheme = SCHEMES["float"]
-        assert np.array_equal(
-            QuantizedModel(model, scheme, pe="emu")(x),
-            model.forward(x, training=False),
-        )
+        with pe_rounding("round_at_end"):
+            emulated = QuantizedModel(model, scheme)(x)
+        assert np.array_equal(emulated, model.forward(x, training=False))
 
     def test_pe_knob_is_validated(self, model_and_input):
         model, _ = model_and_input
-        with pytest.raises(ValueError, match="pe must be one of"):
-            QuantizedModel(model, SCHEMES["16 bits"], pe="fpga")
-        assert set(PE_MODES) == {None, "emu", "emu-per-level"}
+        for pe in ("fpga", "emu"):
+            with pytest.raises(ValueError, match="pe must be one of"):
+                QuantizedModel(model, SCHEMES["16 bits"], pe=pe)
+        assert set(PE_MODES) == {None, "emu-per-level"}
+
+
+class TestRoundingHook:
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="rounding mode must be"):
+            with pe_rounding("round_per_lane"):
+                pass
+
+    def test_mode_is_restored_and_thread_local(self, model_and_input):
+        model, x = model_and_input
+        scheme = SCHEMES["16 bits"]
+        modeled = quantized_forward(model.root, x, scheme)
+        per_level = QuantizedModel(model, scheme, pe="emu-per-level")(x)
+        assert not np.array_equal(per_level, modeled)
+        seen = {}
+
+        def other_thread():
+            seen["other"] = quantized_forward(model.root, x, scheme)
+
+        with pe_rounding("per_level"):
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join()
+            assert np.array_equal(
+                quantized_forward(model.root, x, scheme), per_level
+            )
+        assert np.array_equal(seen["other"], modeled)
+        assert np.array_equal(
+            quantized_forward(model.root, x, scheme), modeled
+        )

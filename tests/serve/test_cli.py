@@ -79,6 +79,15 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_pe_emu_flag_is_rejected(self, capsys):
+        # The modeled quantized path is the round-at-end integer PE bit
+        # for bit on every backend, so the flag that selected the
+        # emulator for it is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            parse("--beamformer", "tiny_vbf@20 bits", "--pe-emu")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
     def test_every_backpressure_policy_parses(self, policy):
         assert parse("--backpressure", policy).backpressure == policy
@@ -128,19 +137,6 @@ class TestMakeBeamformer:
             parse("--beamformer", "tiny_vbf@20 bits", "--untrained")
         )
         assert beamformer.describe()["pe"] == "modeled"
-
-    def test_pe_emu_flag_selects_the_integer_emulator(self):
-        beamformer = make_beamformer(
-            parse(
-                "--beamformer", "tiny_vbf@20 bits", "--untrained",
-                "--pe-emu",
-            )
-        )
-        assert beamformer.describe()["pe"] == "emu"
-
-    def test_pe_emu_is_refused_for_unquantized_specs(self):
-        with pytest.raises(ValueError, match="no PE datapath"):
-            make_beamformer(parse("--pe-emu"))
 
     def test_unknown_beamformer_is_refused(self):
         with pytest.raises(ValueError, match="unknown beamformer"):
