@@ -20,6 +20,7 @@ from repro.backend import available_backends, get_backend, use_backend
 from repro.beamform.geometry import ImagingGrid
 from repro.beamform.tof import clear_tof_plan_cache
 from repro.models.registry import build_model
+from repro.models.tiny_vbf import build_tiny_vbf
 from repro.quant import SCHEMES, QuantizedModel, pe_rounding
 from repro.ultrasound.probe import LinearProbe
 from repro.ultrasound.wavefield import plane_wave_tx_delay, rx_delay
@@ -149,3 +150,29 @@ def quantized_reference(serving_tiny_vbf):
         return computed[name]
 
     return _get
+
+
+@pytest.fixture(scope="session")
+def per_level_reference():
+    """The golden network cut into 16 tokens instead of 4, its input,
+    and per scheme the ``numpy`` result of its ``pe="emu-per-level"``
+    forward, computed once.
+
+    16 tokens give each softmax row enough scores that a float32
+    softmax changes the quantized result; the golden network's 4 do
+    not.
+    """
+    config = replace(cases.golden_model().root.config, patch_size=(4, 3))
+    model = build_tiny_vbf(config)
+    x = cases.golden_model_input()
+    computed = {}
+
+    def _get(name: str) -> np.ndarray:
+        if name not in computed:
+            with use_backend("numpy"):
+                computed[name] = QuantizedModel(
+                    model, SCHEMES[name], pe="emu-per-level"
+                )(x)
+        return computed[name]
+
+    return model, x, _get

@@ -8,9 +8,11 @@ drop-in for the hot paths:
 * bitwise batch-invariance (``beamform_batch`` == per-frame loop),
 * serve-vs-offline parity through the streaming engine,
 * quantized-execution contracts (float scheme is the identity, outputs
-  live on the quantization grid, quantization error is bounded, and
-  every quantized scheme is bitwise the ``numpy`` result and the
-  round-at-end PE emulator's),
+  live on the quantization grid, quantization error is bounded, every
+  quantized scheme is bitwise the ``numpy`` result and the round-at-end
+  PE emulator's, and so is the per-level PE; a three-argument wrapper
+  of ``quantized_forward`` sees every layer group and the same number
+  of ``FixedPointFormat.quantize`` calls),
 * DAS point-target focus (the physics smoke test: delays must actually
   delay),
 * cross-backend agreement with the ``numpy`` reference within each
@@ -22,12 +24,15 @@ import pytest
 
 from repro.api import DasBeamformer, QuantizedBeamformer, dataset_tofc
 from repro.backend import get_backend, use_backend
-from repro.quant import QuantizedModel
+from repro.quant import QuantizedModel, qexec
+from repro.quant.fixed_point import FixedPointFormat
 from repro.quant.schemes import SCHEMES
 from repro.serve import ReplaySource, ServeEngine
 
 from tests.backend.conftest import FakeDataset, point_target_rf
 from tests.golden import cases
+
+QUANTIZED = [name for name, s in SCHEMES.items() if not s.is_float]
 
 
 def _close(backend, actual, reference, context: str) -> None:
@@ -212,9 +217,7 @@ class TestQuantContracts:
             f"image scale {scale:.3e} on backend {backend_name!r}"
         )
 
-    @pytest.mark.parametrize(
-        "name", [name for name, s in SCHEMES.items() if not s.is_float]
-    )
+    @pytest.mark.parametrize("name", QUANTIZED)
     def test_quantized_forward_is_the_integer_datapath(
         self, backend_name, name, serving_tiny_vbf, quantized_reference
     ):
@@ -234,6 +237,75 @@ class TestQuantContracts:
             f"{name}: the round-at-end PE emulator differs from the "
             f"numpy reference"
         )
+
+    @pytest.mark.parametrize("name", QUANTIZED)
+    def test_per_level_forward_is_the_numpy_result(
+        self, backend_name, name, per_level_reference
+    ):
+        """``pe="emu-per-level"`` gives the same bits on every backend:
+        its GEMMs run on the integer PE and everything else on the
+        reference kernels."""
+        model, x, reference = per_level_reference
+        with use_backend(backend_name):
+            actual = QuantizedModel(
+                model, SCHEMES[name], pe="emu-per-level"
+            )(x)
+        expected = reference(name)
+        assert np.array_equal(actual, expected), (
+            f"{name} on backend {backend_name!r}: "
+            f"{np.mean(actual != expected):.1%} of per-level output "
+            f"elements differ from the numpy reference"
+        )
+
+    def test_wrapped_forward_sees_every_layer_group(
+        self, backend_name, monkeypatch, serving_tiny_vbf,
+        quantized_reference,
+    ):
+        """Instrumentation may replace the module-level
+        ``quantized_forward`` with a three-argument wrapper: the
+        recursion reaches every top-level layer through it, and the
+        bits do not change."""
+        model, x = serving_tiny_vbf
+        network = model.root
+        original = qexec.quantized_forward
+        seen = set()
+
+        def wrapper(layer, x, scheme):
+            seen.add(id(layer))
+            return original(layer, x, scheme)
+
+        monkeypatch.setattr(qexec, "quantized_forward", wrapper)
+        with use_backend(backend_name):
+            actual = QuantizedModel(model, SCHEMES["20 bits"])(x)
+        groups = [network.pixel_encoder, *network.context.layers,
+                  network.head]
+        missed = [type(layer).__name__ for layer in groups
+                  if id(layer) not in seen]
+        assert not missed, f"the wrapper never saw {missed}"
+        assert np.array_equal(actual, quantized_reference("20 bits")[0])
+
+    def test_quantize_calls_do_not_depend_on_the_backend(
+        self, backend_name, monkeypatch, serving_tiny_vbf
+    ):
+        """Every quantization goes through ``FixedPointFormat.quantize``
+        on every backend, so a counter on it sees one figure."""
+        model, x = serving_tiny_vbf
+        original = FixedPointFormat.quantize
+        calls = []
+
+        def counted(fmt, values):
+            calls.append(fmt)
+            return original(fmt, values)
+
+        monkeypatch.setattr(FixedPointFormat, "quantize", counted)
+        counts = {}
+        for name in ("numpy", backend_name):
+            calls.clear()
+            with use_backend(name):
+                QuantizedModel(model, SCHEMES["20 bits"])(x)
+            counts[name] = len(calls)
+        assert counts["numpy"] > 0
+        assert counts[backend_name] == counts["numpy"], counts
 
 
 class TestPointTargetFocus:
