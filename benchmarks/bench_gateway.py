@@ -73,7 +73,6 @@ def make_engine(
     return ServeEngine(
         beamformer,
         max_batch=max_batch,
-        max_latency_ms=10.0,
         n_workers=2,
         keep_images=keep_images,
         log_every_s=0,

@@ -89,7 +89,6 @@ def bench_served(
     engine = ServeEngine(
         beamformer,
         max_batch=max_batch,
-        max_latency_ms=50.0,
         queue_capacity=64,
         backpressure="block",  # lossless: both paths serve every frame
         n_workers=1,

@@ -70,7 +70,6 @@ def make_engine() -> ServeEngine:
     return ServeEngine(
         beamformer,
         max_batch=2,
-        max_latency_ms=20.0,
         queue_capacity=64,
         backpressure="block",
         n_workers=1,
@@ -182,7 +181,6 @@ def run_leg(
             "breach_ticks": status["breaches"],
             "n_actions": len(status["actions"]),
             "final_max_inflight": gateway.max_inflight,
-            "final_max_latency_ms": engine.max_latency_ms,
         }
     return row
 

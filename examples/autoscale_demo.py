@@ -64,7 +64,6 @@ def main() -> None:
     engine = ServeEngine(
         beamformer,
         max_batch=2,
-        max_latency_ms=20.0,
         queue_capacity=64,
         backpressure="block",
         n_workers=1,

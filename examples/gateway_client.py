@@ -74,7 +74,6 @@ def main(n_frames: int = 8) -> None:
     engine = ServeEngine(
         das,
         max_batch=4,
-        max_latency_ms=10.0,
         keep_images=False,  # the gateway retains nothing per frame
         log_every_s=0,
         # Trace every frame so the observer scrape below has complete

@@ -8,9 +8,9 @@ imaging, built with every substrate it depends on:
   FPGA-quantized) with plan-cached ToF geometry,
 * :mod:`repro.backend` — pluggable compute backends for the hot paths
   (``numpy`` reference, ``numpy-fast`` float32) behind one registry,
-* :mod:`repro.serve` — streaming engine: frame sources, geometry-aware
-  micro-batching scheduler, a worker-thread executor with backpressure,
-  telemetry and a control loop,
+* :mod:`repro.serve` — streaming engine: frame sources, a worker-thread
+  executor that batches same-geometry frames from one bounded ingest
+  queue with backpressure, telemetry and a control loop,
 * :mod:`repro.gateway` — TCP serving frontend: versioned wire protocol,
   session server with admission control, pure-Python client,
 * :mod:`repro.ultrasound` — plane-wave acquisition simulator and

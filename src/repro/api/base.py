@@ -31,7 +31,7 @@ def dataset_plan_key(dataset: Any) -> tuple[Any, ...]:
 
     Shares :func:`repro.beamform.tof.plan_cache_key`'s definition, so two
     datasets with equal keys are guaranteed to resolve to the same cached
-    :class:`TofPlan`.  Batch execution and the serving scheduler both
+    :class:`TofPlan`.  Batch execution and the serving engine both
     group frames by this key.
     """
     key: tuple[Any, ...] = plan_cache_key(

@@ -28,6 +28,7 @@ DESIGN.md §4 for the dispatch rules and the how-to.
 """
 
 from repro.backend.base import (
+    KERNELS,
     Array,
     ArrayBackend,
     available_backends,
@@ -50,6 +51,7 @@ register_backend(NumpyFastBackend())
 register_cnative_backend()
 
 __all__ = [
+    "KERNELS",
     "Array",
     "ArrayBackend",
     "NumpyBackend",

@@ -240,6 +240,17 @@ class ArrayBackend(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+#: Every kernel of the :class:`ArrayBackend` contract, in declaration
+#: order: its public methods.  Wrappers that must intercept every kernel
+#: (:class:`repro.obs.profile.ProfilingBackend`) iterate this, so a new
+#: kernel cannot be missed.
+KERNELS: tuple[str, ...] = tuple(
+    name
+    for name, member in vars(ArrayBackend).items()
+    if callable(member) and not name.startswith("_")
+)
+
+
 # --------------------------------------------------------------------------
 # Registry + selection
 # --------------------------------------------------------------------------

@@ -83,7 +83,6 @@ def make_engine(args: argparse.Namespace):
     return ServeEngine(
         make_beamformer(args),
         max_batch=args.max_batch,
-        max_latency_ms=args.max_latency_ms,
         queue_capacity=args.queue_capacity,
         backpressure="block",
         n_workers=args.workers,

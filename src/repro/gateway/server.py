@@ -18,8 +18,8 @@ a single :class:`~repro.serve.engine.ServeEngine`:
   drains the feed queue — the engine neither knows nor cares that its
   source is a network; micro-batching, geometry grouping and
   telemetry all apply unchanged.  Because a :class:`GatewayFrame`
-  carries the session's decoded probe/grid, the geometry-aware
-  ``MicroBatcher`` groups gateway traffic exactly like in-process
+  carries the session's decoded probe/grid, the engine keys and
+  batches gateway traffic by geometry exactly like in-process
   traffic.
 * The engine **sink** hands each image back to the loop thread
   (``run_coroutine_threadsafe``), which writes the ``result`` message
@@ -78,8 +78,8 @@ class GatewayFrame:
     Exposes exactly the attributes the serving/beamforming stack reads
     (``rf``, ``probe``, ``grid``, ``angle_rad``, ``sound_speed_m_s``,
     ``t_start_s``, ``name`` — the duck type of
-    :meth:`repro.api.base.Beamformer.beamform`), so the engine and its
-    ``MicroBatcher`` treat gateway traffic identically to in-process
+    :meth:`repro.api.base.Beamformer.beamform`), so the engine keys,
+    batches and beamforms gateway traffic identically to in-process
     datasets.  ``session``/``client_seq``
     route the finished image back to its socket.
     """
@@ -382,7 +382,7 @@ class GatewayServer:
         """The engine source: drain the feed queue until it closes.
 
         The get is polled, not unbounded: an engine whose worker failed
-        only discards the batches still queued to it, and the pump
+        only discards the frames that worker takes, and the pump
         would otherwise sit in this blocking get waiting for a next
         frame that may never come — so the source also ends when the
         engine reports itself broken, letting ``serve`` unwind and
@@ -851,9 +851,9 @@ class GatewayServer:
             # admit.  ``feed`` is how far the gateway runs ahead of
             # the engine; ``inflight`` is the total admitted-but-
             # undelivered frame count across sessions — the *leading*
-            # saturation signal, because engine-side queue depths
-            # count batches (which hide up to ``max_batch`` frames
-            # each) and only back up after the damage is queued.
+            # saturation signal, because the engine's ingest depth
+            # counts only frames no worker has taken yet and backs up
+            # only after the damage is queued.
             self._telemetry.observe_queue_depth(
                 "feed", len(self._feed)
             )

@@ -22,11 +22,12 @@ This module is the only place :mod:`repro.obs` touches
 
 from __future__ import annotations
 
+import abc
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.backend import (
-    Array,
+    KERNELS,
     ArrayBackend,
     get_backend,
     register_backend,
@@ -38,12 +39,41 @@ from repro.obs.metrics import MetricsRegistry
 KERNEL_METRIC = "repro_kernel_seconds"
 
 
+def _timed(kernel: str) -> Callable[..., Any]:
+    """A method that runs the inner backend's ``kernel`` and times it.
+
+    It calls the inner backend's own method, so a compiled backend's
+    fused kernels (``affine_relu``, ``attention``) stay fused under
+    profiling instead of re-dispatching through the base defaults.
+    """
+
+    def delegate(self: ProfilingBackend, *args: Any, **kwargs: Any) -> Any:
+        started = self._clock_now()
+        out = getattr(self.inner, kernel)(*args, **kwargs)
+        self._observe(kernel, started)
+        return out
+
+    delegate.__name__ = kernel
+    delegate.__qualname__ = f"ProfilingBackend.{kernel}"
+    delegate.__doc__ = f"Timed delegate of :meth:`ArrayBackend.{kernel}`."
+    return delegate
+
+
+def _timed_kernels(cls: type[ArrayBackend]) -> type[ArrayBackend]:
+    """Give ``cls`` a timed delegate for every kernel in ``KERNELS``."""
+    for kernel in KERNELS:
+        setattr(cls, kernel, _timed(kernel))
+    return abc.update_abstractmethods(cls)
+
+
+@_timed_kernels
 class ProfilingBackend(ArrayBackend):
     """Times every kernel call of a wrapped backend into a histogram.
 
     The wrapper is numerically transparent: each kernel returns the
     inner backend's result unchanged, and ``rtol``/``atol`` are copied
     from the inner backend so conformance comparisons are unaffected.
+    Its kernels are generated from :data:`repro.backend.KERNELS`.
     """
 
     def __init__(
@@ -73,142 +103,6 @@ class ProfilingBackend(ArrayBackend):
         self._histogram.observe(
             self._clock_now() - started, kernel=kernel, backend=self.name
         )
-
-    # -- dtype policy ----------------------------------------------------
-
-    def asarray(self, x: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.asarray`."""
-        started = self._clock_now()
-        out = self.inner.asarray(x)
-        self._observe("asarray", started)
-        return out
-
-    # -- elementwise / reduction nonlinearities -------------------------
-
-    def relu(self, x: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.relu`."""
-        started = self._clock_now()
-        out = self.inner.relu(x)
-        self._observe("relu", started)
-        return out
-
-    def softmax(self, x: Array, axis: int = -1) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.softmax`."""
-        started = self._clock_now()
-        out = self.inner.softmax(x, axis=axis)
-        self._observe("softmax", started)
-        return out
-
-    def tanh(self, x: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.tanh`."""
-        started = self._clock_now()
-        out = self.inner.tanh(x)
-        self._observe("tanh", started)
-        return out
-
-    # -- GEMM-shaped kernels --------------------------------------------
-
-    def matmul(self, x: Array, weight: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.matmul`."""
-        started = self._clock_now()
-        out = self.inner.matmul(x, weight)
-        self._observe("matmul", started)
-        return out
-
-    def affine(self, x: Array, weight: Array, bias: Array | None) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.affine`."""
-        started = self._clock_now()
-        out = self.inner.affine(x, weight, bias)
-        self._observe("affine", started)
-        return out
-
-    def affine_relu(
-        self, x: Array, weight: Array, bias: Array | None
-    ) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.affine_relu`.
-
-        Forwards to the inner backend's own (possibly fused) kernel —
-        inheriting the base default would re-dispatch through the
-        wrapper's ``affine``/``relu`` and silently unfuse a compiled
-        backend under profiling.
-        """
-        started = self._clock_now()
-        out = self.inner.affine_relu(x, weight, bias)
-        self._observe("affine_relu", started)
-        return out
-
-    def im2col(
-        self,
-        x: Array,
-        kernel_size: tuple[int, int],
-        in_channels: int,
-    ) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.im2col`."""
-        started = self._clock_now()
-        out = self.inner.im2col(x, kernel_size, in_channels)
-        self._observe("im2col", started)
-        return out
-
-    def attention_scores(self, q: Array, k: Array, scale: float) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.attention_scores`."""
-        started = self._clock_now()
-        out = self.inner.attention_scores(q, k, scale)
-        self._observe("attention_scores", started)
-        return out
-
-    def attention_context(self, attention: Array, v: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.attention_context`."""
-        started = self._clock_now()
-        out = self.inner.attention_context(attention, v)
-        self._observe("attention_context", started)
-        return out
-
-    def attention(
-        self, q: Array, k: Array, v: Array, scale: float
-    ) -> tuple[Array, Array]:
-        """Timed delegate of :meth:`ArrayBackend.attention` (forwards to
-        the inner backend's possibly-fused implementation)."""
-        started = self._clock_now()
-        out = self.inner.attention(q, k, v, scale)
-        self._observe("attention", started)
-        return out
-
-    # -- beamforming kernels --------------------------------------------
-
-    def apply_plan(self, plan: Any, rf: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.apply_plan`."""
-        started = self._clock_now()
-        out = self.inner.apply_plan(plan, rf)
-        self._observe("apply_plan", started)
-        return out
-
-    def das_sum(self, tofc: Array, apodization: Array | None) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.das_sum`."""
-        started = self._clock_now()
-        out = self.inner.das_sum(tofc, apodization)
-        self._observe("das_sum", started)
-        return out
-
-    def prepare_mvdr_windows(self, windows: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.prepare_mvdr_windows`."""
-        started = self._clock_now()
-        out = self.inner.prepare_mvdr_windows(windows)
-        self._observe("prepare_mvdr_windows", started)
-        return out
-
-    def mvdr_covariance(self, windows: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.mvdr_covariance`."""
-        started = self._clock_now()
-        out = self.inner.mvdr_covariance(windows)
-        self._observe("mvdr_covariance", started)
-        return out
-
-    def mvdr_output(self, weights: Array, windows: Array) -> Array:
-        """Timed delegate of :meth:`ArrayBackend.mvdr_output`."""
-        started = self._clock_now()
-        out = self.inner.mvdr_output(weights, windows)
-        self._observe("mvdr_output", started)
-        return out
 
 
 def enable_kernel_profiling(

@@ -3,7 +3,7 @@
 Post-mortem context for crashes: the serving tiers continuously feed
 lifecycle events (via :class:`~repro.obs.events.EventLog`) and
 completed traces (via :class:`~repro.obs.tracing.Tracer`) into a
-bounded deque; when a run breaks (a worker or batcher raises), the
+bounded deque; when a run breaks (a worker raises), the
 engine dumps the ring — the last N things that happened, in order — to the
 process log.  Bounded by construction (RA002's spirit), so an
 always-on recorder costs a fixed amount of memory.

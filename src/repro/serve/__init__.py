@@ -6,8 +6,7 @@ API into a live pipeline (DESIGN.md §3):
     from repro.api import create_beamformer
     from repro.serve import ReplaySource, ServeEngine
 
-    engine = ServeEngine(create_beamformer("tiny_vbf"),
-                         max_batch=4, max_latency_ms=25)
+    engine = ServeEngine(create_beamformer("tiny_vbf"), max_batch=4)
     report = engine.serve(ReplaySource(frames, fps=10.0))
     report.images        # complex IQ, submission order, parity with
                          # offline beamform()
@@ -19,20 +18,20 @@ Pieces (each importable on its own):
 * sources    — :class:`FrameSource`, :class:`ReplaySource` (dataset
                replay), :class:`ProbeSource` (simulated live probe with
                scene drift, frame rate and jitter),
-* scheduler  — :class:`MicroBatcher`: groups in-flight frames by
-               acquisition geometry, flushes on ``max_batch`` or
-               ``max_latency_ms`` while every worker is busy, and at
-               once to an idle worker,
-* engine     — :class:`ServeEngine`: worker-thread pool, bounded
-               queues with explicit backpressure (block / drop-oldest),
-               graceful shutdown,
+* engine     — :class:`ServeEngine`: a worker-thread pool that takes
+               frames straight from one bounded ingest queue with
+               explicit backpressure (block / drop-oldest) — an idle
+               worker gets a frame at once, a busy pool batches up to
+               ``max_batch`` queued frames of one acquisition geometry
+               — and graceful shutdown,
 * telemetry  — :class:`ServeTelemetry`: per-stage latency percentiles
                (bounded reservoirs), worker add/retire counters,
                throughput, queue depth, plan-cache hit rate,
 * control    — :class:`ServoController`: telemetry-driven control loop
                that steers batching, admission and worker count toward
                an explicit :class:`SLO` (docs/autotuning.md),
-* queues     — :class:`BoundedQueue` backpressure primitive,
+* queues     — :class:`BoundedQueue` backpressure primitive and the
+               workers' same-key batch take,
 * clock      — :class:`MonotonicClock` / :class:`FakeClock` (tests).
 
 CLI: ``python -m repro.serve --beamformer tiny_vbf --source probe``
@@ -49,14 +48,14 @@ from repro.serve.control import (
     ControlBounds,
     ServoController,
 )
-from repro.serve.engine import ServeEngine, ServeReport
+from repro.serve.engine import PendingFrame, ServeEngine, ServeReport
 from repro.serve.queues import (
     BACKPRESSURE_POLICIES,
     BoundedQueue,
+    ConsumerRetired,
     QueueClosed,
     QueueTimeout,
 )
-from repro.serve.scheduler import MicroBatch, MicroBatcher, PendingFrame
 from repro.serve.sources import FrameSource, ProbeSource, ReplaySource
 from repro.serve.telemetry import LatencyStats, ServeTelemetry
 
@@ -64,13 +63,12 @@ __all__ = [
     "BACKPRESSURE_POLICIES",
     "BoundedQueue",
     "Clock",
+    "ConsumerRetired",
     "ControlAction",
     "ControlBounds",
     "FakeClock",
     "FrameSource",
     "LatencyStats",
-    "MicroBatch",
-    "MicroBatcher",
     "MonotonicClock",
     "PendingFrame",
     "ProbeSource",

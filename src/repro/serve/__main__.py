@@ -83,8 +83,13 @@ def add_beamformer_args(parser: argparse.ArgumentParser) -> None:
 
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Add the engine-configuration flags (shared with the gateway CLI)."""
-    parser.add_argument("--max-batch", type=int, default=4)
-    parser.add_argument("--max-latency-ms", type=float, default=25.0)
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=4,
+        help="cap on the same-geometry frames a worker takes as one "
+        "batch",
+    )
     parser.add_argument("--queue-capacity", type=int, default=64)
     parser.add_argument(
         "--backpressure",
@@ -177,8 +182,8 @@ def add_control_args(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="enable the telemetry-driven control loop with this p99 "
         "end-to-end latency objective (seconds); the controller "
-        "steers max-batch/max-latency-ms (and admission/workers "
-        "where applicable) toward it — see docs/autotuning.md",
+        "steers max-batch (and admission/workers where applicable) "
+        "toward it — see docs/autotuning.md",
     )
     parser.add_argument(
         "--control-interval",
@@ -349,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
     engine = ServeEngine(
         beamformer,
         max_batch=args.max_batch,
-        max_latency_ms=args.max_latency_ms,
         queue_capacity=args.queue_capacity,
         backpressure=args.backpressure,
         n_workers=args.workers,

@@ -1,9 +1,10 @@
 """Clock abstraction: real time for serving, fake time for tests.
 
-Every time-dependent piece of :mod:`repro.serve` (frame pacing, batch
-deadlines, telemetry windows) reads time through a :class:`Clock` so the
-scheduler tests can drive deadlines deterministically with
-:class:`FakeClock` — no ``time.sleep`` in the test suite.
+Every time-dependent piece of :mod:`repro.serve` (frame pacing, stage
+timestamps, control-loop actions) reads time through a :class:`Clock`
+so the source, telemetry and control tests can drive time
+deterministically with :class:`FakeClock` — no ``time.sleep`` in the
+test suite.
 """
 
 from __future__ import annotations

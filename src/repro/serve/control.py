@@ -1,18 +1,17 @@
 """Telemetry-driven serving control loop (the "servo").
 
 :class:`ServoController` closes the loop ROADMAP item 4 describes:
-instead of hand-tuning ``max_batch`` / ``max_latency_ms`` / worker
-count / session credits for one traffic shape, the operator declares an
+instead of hand-tuning ``max_batch`` / worker count / session credits
+for one traffic shape, the operator declares an
 :class:`SLO` and the controller steers the running system toward it.
 Every ``tick`` it pulls one windowed telemetry snapshot
 (:meth:`~repro.serve.telemetry.ServeTelemetry.control_snapshot` —
 stage p99s, queue depths, batch sizes, plan-cache hit rate since the
 previous tick) and actuates up to three axes:
 
-* **batching** (AIMD, always on) — grow ``max_batch`` additively while
-  the p99 has headroom; on a latency breach cut the batching deadline
-  multiplicatively (halve ``max_latency_ms``), and only once the
-  deadline is floored start shrinking the batch.  A *queue* breach
+* **batching** (always on) — grow ``max_batch`` by one while the p99
+  has headroom and shrink it by one on a latency breach, so the oldest
+  queued frame no longer waits behind a long batch.  A *queue* breach
   instead grows the batch — backlog means per-batch overhead is the
   bottleneck, and larger batches amortize it.
 * **admission** (when a gateway is attached) — on a sustained breach
@@ -21,17 +20,18 @@ previous tick) and actuates up to three axes:
   shed at the edge (clients see ``busy`` responses, not silent queue
   growth); restore additively once healthy.
 * **scaling** (when ``autoscale`` and the engine supports it) — add a
-  worker when batching alone cannot clear a sustained breach, retire
-  one after a sustained idle stretch; both behind a cooldown so the
-  pool does not flap.
+  worker when a breach outlasts ``patience`` ticks of batching steps,
+  retire one after a sustained idle stretch; both behind a cooldown so
+  the pool does not flap.  A frame waits only while every worker is
+  busy, so a sustained breach is a capacity problem.
 
-Why AIMD: additive increase probes capacity gently (one step per tick,
-so overshoot is bounded by one step), multiplicative decrease backs off
-fast when the SLO is violated — the same asymmetry that lets TCP share
-a bottleneck stably.  The controller is deliberately *stateless beyond
-streak counters*: every decision derives from the latest window plus
-bounded memory, so a restarted controller converges to the same
-behaviour within ``patience`` ticks.
+Why AIMD on admission: additive increase probes capacity gently (one
+step per tick, so overshoot is bounded by one step), multiplicative
+decrease backs off fast when the SLO is violated — the same asymmetry
+that lets TCP share a bottleneck stably.  The controller is
+deliberately *stateless beyond streak counters*: every decision derives
+from the latest window plus bounded memory, so a restarted controller
+converges to the same behaviour within ``patience`` ticks.
 
 The loop is fake-clock testable: construct with any
 :class:`~repro.serve.clock.Clock` and call :meth:`tick` directly; the
@@ -66,7 +66,8 @@ class SLO:
         p99_latency_s: ceiling on the windowed end-to-end (``total``
             stage) p99 latency, in seconds.
         max_queue_depth: ceiling on the last-observed depth of any
-            engine queue (ingest or in-flight batches); sustained depth
+            queue the telemetry samples (the engine's ingest queue, the
+            gateway's feed and in-flight count); sustained depth
             above this is treated as saturation even while latency
             still looks fine (queues hide latency until they are full).
     """
@@ -102,8 +103,6 @@ class ControlBounds:
 
     min_batch: int = 1
     max_batch: int = 64
-    min_latency_ms: float = 1.0
-    max_latency_ms: float = 1000.0
     min_workers: int = 1
     max_workers: int = 64
     min_inflight: int = 1
@@ -117,11 +116,6 @@ class ControlBounds:
             raise ValueError(
                 f"need 1 <= min_batch <= max_batch, got "
                 f"{self.min_batch}..{self.max_batch}"
-            )
-        if not 0 < self.min_latency_ms <= self.max_latency_ms:
-            raise ValueError(
-                f"need 0 < min_latency_ms <= max_latency_ms, got "
-                f"{self.min_latency_ms}..{self.max_latency_ms}"
             )
         if not 1 <= self.min_workers <= self.max_workers:
             raise ValueError(
@@ -150,7 +144,7 @@ class ControlAction:
         at: controller-clock timestamp of the decision.
         policy: which axis acted — ``batching`` / ``admission`` /
             ``scaling``.
-        action: what it did (e.g. ``grow_batch``, ``cut_deadline``,
+        action: what it did (e.g. ``grow_batch``, ``shrink_batch``,
             ``shed``, ``add_worker``).
         value: the knob's new value.
         reason: the telemetry fact that triggered it.
@@ -253,9 +247,6 @@ class ServoController:
         self._base_inflight = (
             gateway.max_inflight if gateway is not None else None
         )
-        self._base_latency_ms = (
-            engine.max_latency_ms if engine is not None else None
-        )
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
 
@@ -304,7 +295,6 @@ class ServoController:
             "engine": (
                 {
                     "max_batch": self.engine.max_batch,
-                    "max_latency_ms": self.engine.max_latency_ms,
                     "live_workers": getattr(
                         self.engine, "live_workers", None
                     ),
@@ -383,19 +373,18 @@ class ServoController:
         if self.gateway is not None:
             self._steer_admission(p99_s, depth)
         if self.autoscale:
-            self._steer_scaling(p99_s, depth, queue_breach)
+            self._steer_scaling(p99_s, depth)
         return self._tick_actions
 
     def _steer_batching(
         self, p99_s: float, latency_breach: bool, queue_breach: bool
     ) -> None:
-        """AIMD on the micro-batching knobs (every tick)."""
+        """One ``max_batch`` step per tick, within the bounds."""
         bounds = self.bounds
         engine = self.engine
         if queue_breach:
             # Backlog: per-batch overhead is the bottleneck; larger
-            # batches amortize it (and a deadline cut would only
-            # fragment them further).
+            # batches amortize it.
             if engine.max_batch < bounds.max_batch:
                 engine.set_batching(max_batch=engine.max_batch + 1)
                 self._record(
@@ -404,44 +393,25 @@ class ServoController:
                 )
             return
         if latency_breach:
-            if engine.max_latency_ms > bounds.min_latency_ms:
-                cut = max(
-                    bounds.min_latency_ms, engine.max_latency_ms / 2
-                )
-                engine.set_batching(max_latency_ms=cut)
-                self._record(
-                    "batching", "cut_deadline", cut,
-                    f"p99 {p99_s * 1e3:.1f}ms over SLO: stop waiting "
-                    f"for company",
-                )
-            elif engine.max_batch > bounds.min_batch:
-                # Deadline already floored and latency still over:
-                # the batches themselves are too slow.
+            # The oldest queued frame waits for a whole batch to run:
+            # shorter batches free a worker sooner.
+            if engine.max_batch > bounds.min_batch:
                 engine.set_batching(max_batch=engine.max_batch - 1)
                 self._record(
                     "batching", "shrink_batch", engine.max_batch,
-                    f"p99 {p99_s * 1e3:.1f}ms over SLO with deadline "
-                    f"floored",
+                    f"p99 {p99_s * 1e3:.1f}ms over SLO",
                 )
             return
-        if p99_s < bounds.headroom * self.slo.p99_latency_s:
-            grew = False
-            if engine.max_batch < bounds.max_batch:
-                engine.set_batching(max_batch=engine.max_batch + 1)
-                self._record(
-                    "batching", "grow_batch", engine.max_batch,
-                    f"p99 {p99_s * 1e3:.1f}ms under "
-                    f"{bounds.headroom:.0%} of SLO",
-                )
-                grew = True
-            base = self._base_latency_ms or bounds.max_latency_ms
-            if not grew and engine.max_latency_ms < base:
-                restored = min(base, engine.max_latency_ms * 2)
-                engine.set_batching(max_latency_ms=restored)
-                self._record(
-                    "batching", "restore_deadline", restored,
-                    "healthy window: relax an earlier deadline cut",
-                )
+        if (
+            p99_s < bounds.headroom * self.slo.p99_latency_s
+            and engine.max_batch < bounds.max_batch
+        ):
+            engine.set_batching(max_batch=engine.max_batch + 1)
+            self._record(
+                "batching", "grow_batch", engine.max_batch,
+                f"p99 {p99_s * 1e3:.1f}ms under "
+                f"{bounds.headroom:.0%} of SLO",
+            )
 
     def _steer_admission(self, p99_s: float, depth: int) -> None:
         """Shed/restore gateway session credits (sustained signals)."""
@@ -478,9 +448,7 @@ class ServoController:
             )
             axis.cooldown = bounds.cooldown_ticks
 
-    def _steer_scaling(
-        self, p99_s: float, depth: int, queue_breach: bool
-    ) -> None:
+    def _steer_scaling(self, p99_s: float, depth: int) -> None:
         """Worker add/retire (sustained signals, behind a cooldown)."""
         bounds = self.bounds
         engine = self.engine
@@ -488,19 +456,16 @@ class ServoController:
         if axis.cooldown > 0:
             return
         live = engine.live_workers
-        saturated = (
-            engine.max_batch >= bounds.max_batch or queue_breach
-        )
+        # Batching steps on every breached tick; a breach that outlasts
+        # ``patience`` of them needs another worker.
         if (
             axis.breach_streak >= bounds.patience
-            and saturated
             and live < bounds.max_workers
         ):
             if engine.add_worker():
                 self._record(
                     "scaling", "add_worker", live + 1,
-                    f"{axis.breach_streak} breached ticks with "
-                    f"batching saturated",
+                    f"{axis.breach_streak} breached ticks",
                 )
                 axis.cooldown = bounds.cooldown_ticks
                 axis.breach_streak = 0

@@ -1,26 +1,26 @@
-"""The streaming beamforming engine: source → scheduler → workers → sink.
+"""The streaming beamforming engine: source → ingest queue → workers → sink.
 
 :class:`ServeEngine` turns any :class:`~repro.api.base.Beamformer` into
 a live pipeline:
 
 ::
 
-    FrameSource ──▶ ingest queue ──▶ MicroBatcher ──▶ batch queue ──▶ worker pool ──▶ sink
-     (caller thread)  (backpressure)  (batcher thread)   (bounded)     (N threads)     (callback)
+    FrameSource ──▶ ingest queue ──▶ worker pool ──▶ sink
+     (caller thread)  (bounded,        (N threads)     (callback)
+                      backpressure)
 
-* The **caller thread** iterates the source and enqueues frames.  The
-  ingest queue's backpressure policy decides what happens when the
-  pipeline falls behind: ``"block"`` (lossless) or ``"drop_oldest"``
-  (bounded latency, dropped frames are reported by sequence number).
-* The **batcher thread** drains the ingest queue into the
-  :class:`MicroBatcher`, which groups frames by acquisition geometry.
-* **Dispatch is work-conserving.**  A frame waits in the scheduler only
-  while every worker is busy: a frame that arrives while a worker is
-  idle is dispatched at once, and a worker that finishes while frames
-  are pending takes the oldest group, up to ``max_batch``, at once
-  (batch reason ``"idle"``).  While every worker is busy, groups flush
-  on ``max_batch``/``max_latency_ms`` as before — that is when a batch
-  can form anyway.
+* The **caller thread** iterates the source, keys each frame by its
+  acquisition geometry (:func:`repro.api.base.dataset_plan_key`) and
+  enqueues it.  The ingest queue's backpressure policy decides what
+  happens when the pipeline falls behind: ``"block"`` (lossless) or
+  ``"drop_oldest"`` (bounded latency, dropped frames are reported by
+  sequence number).  ``queue_capacity`` bounds every waiting frame.
+* **Workers take frames straight from the ingest queue.**  A free
+  worker takes, in one step under the queue's lock, the oldest frame
+  plus up to ``max_batch − 1`` queued frames of the same geometry
+  (:meth:`~repro.serve.queues.BoundedQueue.get_batch`).  An idle worker
+  therefore gets a frame the moment it arrives, and a busy pool forms
+  same-geometry batches from what queued up meanwhile.
 * **Workers** execute ``beamformer.beamform_batch`` on each micro-batch
   (same-geometry frames: one cached ToF plan, one stacked model forward)
   and deliver images to the sink callback and the result table.
@@ -32,16 +32,15 @@ a live pipeline:
   acquisition time and compute overlap instead of adding up.
 
 Shutdown is graceful by construction: when the source ends, the ingest
-queue closes, the batcher flushes every pending frame, workers drain the
-batch queue and exit on sentinels — no frame is lost (asserted by the
-tier-1 serve tests).
+queue closes, workers drain every queued frame and exit once it is
+empty — no frame is lost (asserted by the tier-1 serve tests).
 
 Failure is contained to the run, not the process: an exception in a
-worker or the batcher marks the engine :attr:`~ServeEngine.broken`,
-dumps the flight recorder to the log and is re-raised by ``serve``.
-Workers share the process, so a crash below Python (a segfault in a
-compiled kernel) ends the whole process; restarting it is the process
-supervisor's job (DESIGN.md §5).
+worker marks the engine :attr:`~ServeEngine.broken`, dumps the flight
+recorder to the log and is re-raised by ``serve``.  Workers share the
+process, so a crash below Python (a segfault in a compiled kernel) ends
+the whole process; restarting it is the process supervisor's job
+(DESIGN.md §5).
 
 Output parity: frames are normalized per frame and batch forwards are
 batch-invariant (see ``repro.nn.layers.dense``), so a served image is
@@ -52,22 +51,21 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from repro import runtime
-from repro.api.base import Beamformer
+from repro.api.base import Beamformer, dataset_plan_key
 from repro.obs import Observability
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.queues import (
     BACKPRESSURE_POLICIES,
     BoundedQueue,
+    ConsumerRetired,
     QueueClosed,
-    QueueTimeout,
 )
-from repro.serve.scheduler import MicroBatch, MicroBatcher, PendingFrame
 from repro.serve.telemetry import ServeTelemetry
 
 logger = logging.getLogger("repro.serve")
@@ -75,16 +73,28 @@ logger = logging.getLogger("repro.serve")
 #: Sink callback signature: ``(seq, dataset, iq_image) -> None``.
 Sink = Callable[[int, object, np.ndarray], None]
 
-#: Broadcast shutdown marker: each worker re-puts it before exiting, so
-#: one token terminates however many workers are live at shutdown time
-#: (the pool size is runtime-mutable; a counted sentinel scheme would
-#: race against add/retire).
-_SHUTDOWN = object()
 
-#: Targeted retire marker: consumed by exactly *one* worker, which
-#: exits without re-putting.  FIFO ordering gives drain-before-exit for
-#: free — every batch queued before the retire is executed first.
-_RETIRE = object()
+@dataclass(frozen=True)
+class PendingFrame:
+    """One submitted frame waiting in the ingest queue.
+
+    ``key`` is the frame's acquisition geometry
+    (:func:`repro.api.base.dataset_plan_key`), computed once at ingest;
+    workers batch frames whose keys are equal.  ``trace`` is the
+    frame's :class:`repro.obs.Trace` when the frame was sampled for
+    tracing (``None`` otherwise — the common case); it rides the frame
+    to the worker, which attaches its spans.
+    """
+
+    seq: int
+    dataset: Any
+    submitted_at: float
+    key: tuple = field(repr=False)
+    trace: Any = None
+
+
+def _frame_key(frame: PendingFrame) -> tuple:
+    return frame.key
 
 
 def _finish_engine_traces(
@@ -100,122 +110,6 @@ def _finish_engine_traces(
             frame.trace.finish(status=status)
 
 
-class _Dispatch:
-    """One run's hand-off from the scheduler to the worker pool.
-
-    One lock guards the run's :class:`MicroBatcher` and two counts:
-    workers blocked on the batch queue (``waiting``) and batches and
-    retire tokens put on it that no worker has taken yet (``queued``;
-    the shutdown token is not counted, as nothing is pending once it is
-    sent).  Every critical section leaves no frame pending while
-    ``waiting > queued``, which is what makes dispatch
-    work-conserving:
-
-    * after frames arrive, the batcher emits the oldest groups while
-      waiting workers outnumber queued batches (:meth:`admit`);
-    * a worker about to wait takes the oldest group itself when every
-      queued batch is already spoken for (:meth:`take`).
-
-    A worker's take off the queue lowers both counts together, so the
-    rule also holds between its ``get`` and its bookkeeping.  Counting
-    retire tokens sends a worker to the queue, and so to the token,
-    even while frames stay pending.  Batches go on the queue outside
-    the lock: a blocking put under it would deadlock against a worker
-    waiting for the lock to record its take.
-    """
-
-    def __init__(
-        self,
-        scheduler: MicroBatcher,
-        capacity: int,
-        telemetry: ServeTelemetry,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._scheduler = scheduler
-        self._batches = BoundedQueue(capacity, "block")
-        self._telemetry = telemetry
-        self._waiting = 0
-        self._queued = 0
-
-    def set_limits(self, max_batch: int, max_latency_s: float) -> None:
-        """Change the scheduler's flush limits (read at every decision)."""
-        with self._lock:
-            self._scheduler.set_limits(
-                max_batch=max_batch, max_latency_s=max_latency_s
-            )
-
-    def next_deadline(self) -> float | None:
-        """Earliest time a pending group must flush (None when empty)."""
-        with self._lock:
-            return self._scheduler.next_deadline()
-
-    def room(self) -> int:
-        """Frames the scheduler can take before it holds a full batch."""
-        with self._lock:
-            return self._scheduler.max_batch - self._scheduler.pending
-
-    def admit(self, frames: list[PendingFrame]) -> None:
-        """Add ``frames`` (none after a deadline wake-up) and dispatch
-        every group that is full, overdue, or wanted by a waiting worker."""
-        with self._lock:
-            for frame in frames:
-                self._scheduler.add(frame)
-            due = self._scheduler.ready()
-            self._queued += len(due)
-            while self._waiting > self._queued:
-                batch = self._scheduler.pop_oldest()
-                if batch is None:
-                    break
-                due.append(batch)
-                self._queued += 1
-        self._put(due)
-
-    def close(self) -> None:
-        """Dispatch every pending frame (the source has ended)."""
-        with self._lock:
-            due = self._scheduler.flush()
-            self._queued += len(due)
-        self._put(due)
-
-    def retire(self) -> None:
-        """Queue a retire token behind every batch already dispatched."""
-        with self._lock:
-            self._queued += 1
-        self._batches.put(_RETIRE)
-
-    def shut_down(self) -> None:
-        """Queue the shutdown token; each worker passes it on as it exits."""
-        self._batches.put(_SHUTDOWN)
-
-    def take(self) -> object:
-        """A worker's next micro-batch, shutdown or retire token.
-
-        Blocks on the batch queue unless the worker can take the oldest
-        pending group itself.
-        """
-        batch = None
-        with self._lock:
-            if self._queued <= self._waiting:
-                batch = self._scheduler.pop_oldest()
-            if batch is None:
-                self._waiting += 1
-        if batch is not None:
-            self._telemetry.batch_dispatched(batch.reason)
-            return batch
-        item = self._batches.get()
-        with self._lock:
-            self._waiting -= 1
-            if item is not _SHUTDOWN:
-                self._queued -= 1
-        return item
-
-    def _put(self, due: list[MicroBatch]) -> None:
-        for batch in due:
-            self._batches.put(batch)
-            self._telemetry.batch_dispatched(batch.reason)
-            self._telemetry.observe_queue_depth("batch", len(self._batches))
-
-
 def pump_source(
     source: Iterable,
     ingest: BoundedQueue,
@@ -226,13 +120,12 @@ def pump_source(
 ) -> int:
     """Feed ``source`` into the ingest queue; the producer half of serve.
 
-    Assigns sequence numbers, applies the queue's backpressure policy
-    (recording evictions in ``dropped`` and telemetry), and stops early
-    if the queue is closed under it (a dead batcher must stop the
-    producer, not deadlock it).  Returns the number of frames
-    submitted.  The caller still owns ``ingest.close``
-    — typically in a ``finally`` so shutdown happens on source errors
-    too.
+    Keys each frame by geometry, assigns sequence numbers and applies
+    the queue's backpressure policy (recording evictions in ``dropped``
+    and telemetry).  Returns the number of frames submitted.  A frame
+    that cannot be keyed (no probe/grid/...) raises here, on the
+    caller's thread.  The caller owns ``ingest.close`` — typically in a
+    ``finally`` so shutdown happens on source errors too.
 
     Tracing: a dataset that already carries a ``trace`` attribute (the
     gateway attaches one at ingress) keeps it; otherwise ``tracer``
@@ -243,24 +136,19 @@ def pump_source(
     seq = 0
     for dataset in source:
         submitted_at = telemetry.frame_submitted()
+        key = dataset_plan_key(dataset)
         trace = getattr(dataset, "trace", None)
         if trace is None and tracer is not None:
             trace = tracer.start_trace(
                 "frame", start=submitted_at, owner="engine", seq=seq
             )
-        frame = PendingFrame(
-            seq=seq, dataset=dataset, submitted_at=submitted_at,
-            trace=trace,
+        evicted = ingest.put(
+            PendingFrame(
+                seq=seq, dataset=dataset, submitted_at=submitted_at,
+                key=key, trace=trace,
+            )
         )
         seq += 1
-        try:
-            evicted = ingest.put(frame)
-        except QueueClosed:
-            # The consumer side failed and closed the queue; stop
-            # ingesting and let the caller surface its exception.
-            if trace is not None:
-                trace.finish(status="queue_closed")
-            break
         if evicted is not None:
             dropped.append(evicted.seq)
             telemetry.frame_dropped()
@@ -300,11 +188,9 @@ class ServeEngine:
 
     Args:
         beamformer: any :class:`~repro.api.base.Beamformer`.
-        max_batch: micro-batch size cap (scheduler flush trigger).
-        max_latency_ms: batching deadline — while every worker is busy,
-            no frame waits longer than this for its batch to fill.  A
-            frame never waits while a worker is idle.
-        queue_capacity: ingest queue bound (backpressure kicks in here).
+        max_batch: cap on the frames one worker takes as one batch.
+        queue_capacity: ingest queue bound — the bound on every frame
+            waiting for a worker (backpressure kicks in here).
         backpressure: ``"block"`` or ``"drop_oldest"``.
         n_workers: beamforming worker threads.  NumPy releases the GIL
             inside its kernels, so workers overlap on multicore hosts;
@@ -331,7 +217,6 @@ class ServeEngine:
         self,
         beamformer: Beamformer,
         max_batch: int = 4,
-        max_latency_ms: float = 25.0,
         queue_capacity: int = 64,
         backpressure: str = "block",
         n_workers: int = 1,
@@ -348,8 +233,7 @@ class ServeEngine:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.beamformer = beamformer
-        self.max_batch = max_batch
-        self.max_latency_ms = max_latency_ms
+        self.set_batching(max_batch)
         self.queue_capacity = queue_capacity
         self.backpressure = backpressure
         self.n_workers = n_workers
@@ -358,15 +242,13 @@ class ServeEngine:
         self.keep_images = keep_images
         self.obs = observability or Observability.create(clock=self.clock)
         self._run_errors: list[BaseException] = []
-        # Live worker-pool state: the dispatch and run context exist
-        # only while serve() runs; the registry accumulates every
-        # thread started for the current run (including retired ones —
-        # join()ing a finished thread is free).  _budgeted counts the
-        # run's workers in the process thread budget (repro.runtime):
-        # retired workers leave it as they exit, serve() removes the
-        # rest.  Guarded by _workers_lock, which orders add/retire
-        # against shutdown.
-        self._dispatch: _Dispatch | None = None
+        # Live worker-pool state: the run context exists only while
+        # serve() runs; the registry accumulates every thread started
+        # for the current run (including retired ones — join()ing a
+        # finished thread is free).  _budgeted counts the run's workers
+        # in the process thread budget (repro.runtime): retired workers
+        # leave it as they exit, serve() removes the rest.  Guarded by
+        # _workers_lock, which orders add/retire against shutdown.
         self._run_ctx: dict | None = None
         self._worker_threads: list[threading.Thread] = []
         self._workers_lock = threading.Lock()
@@ -376,7 +258,7 @@ class ServeEngine:
 
     @property
     def broken(self) -> bool:
-        """True once a stage of the current run has failed.
+        """True once a worker of the current run has failed.
 
         The engine's error contract defers the raise to the end of the
         run (failed workers keep draining so nothing deadlocks), but a
@@ -389,31 +271,16 @@ class ServeEngine:
 
     # -- runtime control -------------------------------------------------
 
-    def set_batching(
-        self,
-        max_batch: int | None = None,
-        max_latency_ms: float | None = None,
-    ) -> None:
-        """Adjust micro-batching limits, live when a run is active.
+    def set_batching(self, max_batch: int) -> None:
+        """Change the batch cap, live when a run is active.
 
-        The new values are validated together, stored on the engine
-        (they seed the next run's scheduler) and pushed into the
-        current run's :class:`MicroBatcher`, whose limits are re-read
-        at every flush decision.  A deadline cut takes effect at the
-        batcher's next wake-up — bounded by one *old* deadline when it
-        is mid-wait — and never drops or double-emits a pending frame.
+        Workers read ``max_batch`` at every take, so the new cap
+        applies to the next batch a worker takes; frames already taken
+        run as they are.
         """
-        new_batch = self.max_batch if max_batch is None else max_batch
-        new_latency = (
-            self.max_latency_ms if max_latency_ms is None
-            else max_latency_ms
-        )
-        MicroBatcher._validate_limits(new_batch, new_latency / 1e3)
-        self.max_batch = new_batch
-        self.max_latency_ms = new_latency
-        dispatch = self._dispatch
-        if dispatch is not None:
-            dispatch.set_limits(new_batch, new_latency / 1e3)
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        self.max_batch = max_batch
 
     @property
     def live_workers(self) -> int:
@@ -425,10 +292,10 @@ class ServeEngine:
         """Start one more worker thread on the current run.
 
         Returns ``False`` when no run is active (the pool only exists
-        inside :meth:`serve`).  The new thread joins the shared batch
-        queue immediately — there is no warm-up handshake for a thread.
-        It counts toward the thread budget before it starts, so every
-        worker's share shrinks first.
+        inside :meth:`serve`).  The new thread takes frames from the
+        ingest queue at once — there is no warm-up handshake for a
+        thread.  It counts toward the thread budget before it starts,
+        so every worker's share shrinks first.
         """
         with self._workers_lock:
             ctx = self._run_ctx
@@ -443,21 +310,22 @@ class ServeEngine:
         return True
 
     def retire_worker(self) -> bool:
-        """Retire one worker thread, draining queued batches first.
+        """Retire one worker thread once it has finished its batch.
 
-        A ``_RETIRE`` token is queued *behind* every already-dispatched
-        batch (FIFO), so the worker that consumes it has nothing left
-        to execute; exactly one worker exits.  Refused (``False``) when
-        it would empty the pool or no run is active.
+        The next worker to come back for frames — an idle one wakes at
+        once — exits instead, ahead of any queued frame; the others
+        run those frames.  Refused (``False``) when it would empty the
+        pool, when no run is active, or once the run is shutting down.
         """
         with self._workers_lock:
             ctx = self._run_ctx
             if ctx is None or self._live_workers <= 1:
                 return False
-            # Reserve the slot under the lock so concurrent retires
-            # cannot race the pool below one worker.
+            try:
+                ctx["ingest"].retire_consumer()
+            except QueueClosed:
+                return False  # shutting down: every worker exits anyway
             self._live_workers -= 1
-        ctx["dispatch"].retire()
         self.obs.events.emit("worker_retired", engine="threaded")
         return True
 
@@ -478,7 +346,7 @@ class ServeEngine:
     # -- pipeline stages -------------------------------------------------
 
     def _fail(self, ctx: dict, exc: BaseException) -> None:
-        """Record a stage failure: this is where :attr:`broken` turns true.
+        """Record a worker failure: this is where :attr:`broken` turns true.
 
         The first failure of a run emits ``engine_broken`` and dumps
         the flight recorder to the log, while the ring still holds the
@@ -499,65 +367,16 @@ class ServeEngine:
                 "flight recorder dump (%s):\n%s", type(exc).__name__, dump
             )
 
-    def _batcher_loop(
-        self, dispatch: _Dispatch, ingest: BoundedQueue, ctx: dict
-    ) -> None:
-        """Drain ingest into the scheduler until the queue closes.
-
-        Wakes on every arrival and at the oldest pending group's
-        deadline; :meth:`_Dispatch.admit` decides what is due.  Returns
-        after the closing flush has dispatched every pending frame.
-        Wrapped so that *any* failure (e.g. a frame whose geometry
-        cannot be keyed) still closes the ingest queue — unblocking the
-        producer — and still delivers the shutdown token: a dead
-        batcher must degrade into a raised exception, never a deadlock.
-        """
-        try:
-            while True:
-                deadline = dispatch.next_deadline()
-                timeout = (
-                    None if deadline is None
-                    else max(0.0, deadline - self.clock.now())
-                )
-                try:
-                    arrived = [ingest.get(timeout=timeout)]
-                except QueueTimeout:
-                    arrived = []  # a deadline expired; admit() sends it
-                except QueueClosed:
-                    dispatch.close()
-                    return
-                if arrived:
-                    # Take whatever else already arrived so a burst
-                    # becomes one batch — but never hold more than a
-                    # batch's worth: backpressure must build in the
-                    # *bounded* ingest queue, not in the scheduler.
-                    room = dispatch.room() - 1
-                    while room > 0 and len(ingest) > 0:
-                        try:
-                            arrived.append(ingest.get(timeout=0.0))
-                        except (QueueTimeout, QueueClosed):
-                            break
-                        room -= 1
-                dispatch.admit(arrived)
-        except BaseException as exc:  # re-raised by serve() after join
-            self._fail(ctx, exc)
-            ingest.close()
-        finally:
-            # One token shuts down the whole pool: each worker re-puts
-            # it before exiting, so the broadcast reaches however many
-            # workers are live — including any added mid-run.
-            dispatch.shut_down()
-
     def _worker_loop(self, ctx: dict) -> None:
-        """Execute micro-batches until a shutdown/retire token arrives.
+        """Execute micro-batches until the ingest queue closes and
+        drains, or until this worker takes a retire.
 
-        A failed worker keeps *draining* its queue (discarding batches)
-        rather than exiting: with a dead consumer the batcher's blocking
-        dispatch — and behind it the ingest thread — would deadlock.
-        The recorded exception is re-raised by :meth:`serve` after
-        shutdown.
+        A failed worker keeps *draining* the queue (discarding frames)
+        rather than exiting, so a blocked producer is never left
+        without a consumer.  The recorded exception is re-raised by
+        :meth:`serve` after shutdown.
         """
-        dispatch: _Dispatch = ctx["dispatch"]
+        ingest: BoundedQueue = ctx["ingest"]
         results: dict[int, np.ndarray] = ctx["results"]
         results_lock: threading.Lock = ctx["results_lock"]
         telemetry: ServeTelemetry = ctx["telemetry"]
@@ -565,13 +384,15 @@ class ServeEngine:
         log_state: dict = ctx["log_state"]
         failed = False
         while True:
-            batch = dispatch.take()
-            if batch is _SHUTDOWN:
-                dispatch.shut_down()  # pass it on to the next worker
+            try:
+                frames: list[PendingFrame] = ingest.get_batch(
+                    self.max_batch, _frame_key
+                )
+            except QueueClosed:
                 with self._workers_lock:
                     self._live_workers -= 1
                 return
-            if batch is _RETIRE:
+            except ConsumerRetired:
                 # retire_worker() already released the live slot; the
                 # thread budget is released as the thread exits.
                 with self._workers_lock:
@@ -583,40 +404,40 @@ class ServeEngine:
             if failed:
                 # Discarded unexecuted: close its traces so a failed
                 # run still balances started against completed.
-                _finish_engine_traces(batch.frames, "error")
+                _finish_engine_traces(frames, "error")
                 continue
             dispatch_time = self.clock.now()
-            datasets = [frame.dataset for frame in batch.frames]
             try:
-                images = self.beamformer.beamform_batch(datasets)
+                images = self.beamformer.beamform_batch(
+                    [frame.dataset for frame in frames]
+                )
                 done_time = self.clock.now()
                 if self.keep_images:
                     with results_lock:
-                        for frame, image in zip(batch.frames, images):
+                        for frame, image in zip(frames, images):
                             results[frame.seq] = image
                 telemetry.batch_done(
-                    [frame.submitted_at for frame in batch.frames],
+                    [frame.submitted_at for frame in frames],
                     dispatch_time,
                     done_time,
                 )
-                for frame in batch.frames:
+                for frame in frames:
                     if frame.trace is not None:
                         frame.trace.add_span(
-                            "queue_wait", frame.submitted_at, dispatch_time,
-                            reason=batch.reason,
+                            "queue_wait", frame.submitted_at, dispatch_time
                         )
                         frame.trace.add_span(
                             "execute", dispatch_time, done_time,
-                            batch_size=len(batch.frames),
+                            batch_size=len(frames),
                         )
                 if sink is not None:
-                    for frame, image in zip(batch.frames, images):
+                    for frame, image in zip(frames, images):
                         sink(frame.seq, frame.dataset, image)
                 # Engine-owned traces end with the sink.
-                _finish_engine_traces(batch.frames, "ok")
+                _finish_engine_traces(frames, "ok")
             except BaseException as exc:  # propagated after join
                 self._fail(ctx, exc)
-                _finish_engine_traces(batch.frames, "error")
+                _finish_engine_traces(frames, "error")
                 failed = True
                 continue
             self._maybe_log(telemetry, log_state)
@@ -663,38 +484,22 @@ class ServeEngine:
         )
         ingest = BoundedQueue(self.queue_capacity, self.backpressure)
         results: dict[int, np.ndarray] = {}
-        results_lock = threading.Lock()
         # Shared with the `broken` property (and reset per run) so a
         # live consumer can observe a failed stage mid-run.
         errors = self._run_errors = []
         dropped: list[int] = []
-        log_state = {"lock": threading.Lock(), "last": self.clock.now()}
-        scheduler = MicroBatcher(
-            max_batch=self.max_batch,
-            max_latency_s=self.max_latency_ms / 1e3,
-            clock=self.clock,
-        )
-        dispatch = _Dispatch(
-            scheduler, max(2, 2 * self.n_workers), telemetry
-        )
         ctx = {
-            "dispatch": dispatch,
+            "ingest": ingest,
             "results": results,
-            "results_lock": results_lock,
+            "results_lock": threading.Lock(),
             "telemetry": telemetry,
             "sink": sink,
             "errors": errors,
-            "log_state": log_state,
+            "log_state": {
+                "lock": threading.Lock(), "last": self.clock.now()
+            },
         }
-
-        batcher = threading.Thread(
-            target=self._batcher_loop,
-            args=(dispatch, ingest, ctx),
-            name="serve-batcher",
-            daemon=True,
-        )
         with self._workers_lock:
-            self._dispatch = dispatch
             self._run_ctx = ctx
             self._worker_threads = []
             self._live_workers = 0
@@ -707,7 +512,6 @@ class ServeEngine:
                 self._start_worker(ctx)
         telemetry.workers_started(self.n_workers)
         telemetry.observe_worker_threads(threads)
-        batcher.start()
 
         seq = 0
         try:
@@ -716,13 +520,12 @@ class ServeEngine:
                 tracer=self.obs.tracer, events=self.obs.events,
             )
         finally:
+            # Closing the queue ends the workers once it has drained.
             ingest.close()
-            batcher.join()
             # Freeze the pool (no further add/retire), then join every
             # thread the run ever started — retired ones are already
             # dead and join instantly.
             with self._workers_lock:
-                self._dispatch = None
                 self._run_ctx = None
                 workers = list(self._worker_threads)
                 self._worker_threads = []

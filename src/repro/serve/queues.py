@@ -13,13 +13,18 @@ explicit:
 
 ``close()`` performs the shutdown handshake: producers can no longer
 put, consumers drain what remains and then see :class:`QueueClosed`.
+
+The serving engine's workers consume with :meth:`BoundedQueue.get_batch`
+— the oldest item plus queued items with the same key, in one step — and
+:meth:`BoundedQueue.retire_consumer` stops one consumer without a
+sentinel item.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 BACKPRESSURE_POLICIES = ("block", "drop_oldest")
 
@@ -30,6 +35,10 @@ class QueueClosed(Exception):
 
 class QueueTimeout(Exception):
     """Raised when a timed ``get``/``put`` expires without progress."""
+
+
+class ConsumerRetired(Exception):
+    """Raised on ``get_batch`` to the consumer that takes a retire."""
 
 
 class BoundedQueue:
@@ -55,6 +64,7 @@ class BoundedQueue:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
+        self._retiring = 0
         self._dropped = 0
         self._high_water = 0
 
@@ -106,6 +116,55 @@ class BoundedQueue:
             item = self._items.popleft()
             self._not_full.notify()
             return item
+
+    def get_batch(self, limit: int, key: Callable[[Any], Any]) -> list:
+        """Dequeue the oldest item plus up to ``limit - 1`` later items
+        whose ``key`` equals its key, in queue order, in one step.
+
+        Items with other keys keep their places.  Blocks until there is
+        an item, a pending retire or a close.
+
+        Raises:
+            ConsumerRetired: a :meth:`retire_consumer` is pending; this
+                caller takes it, ahead of any queued item.
+            QueueClosed: the queue is closed *and* fully drained.
+        """
+        with self._lock:
+            self._not_empty.wait_for(
+                lambda: self._retiring or self._closed or self._items
+            )
+            if self._retiring:
+                self._retiring -= 1
+                raise ConsumerRetired
+            if not self._items:
+                raise QueueClosed
+            batch = [self._items.popleft()]
+            wanted = key(batch[0])
+            index = 0
+            while len(batch) < limit and index < len(self._items):
+                if key(self._items[index]) == wanted:
+                    batch.append(self._items[index])
+                    del self._items[index]
+                else:
+                    index += 1
+            self._not_full.notify(len(batch))
+            return batch
+
+    def retire_consumer(self) -> None:
+        """Make one consumer's ``get_batch`` raise :class:`ConsumerRetired`.
+
+        A blocked consumer wakes at once; otherwise the next caller
+        takes it.  Items stay queued for the other consumers.
+
+        Raises:
+            QueueClosed: the queue was closed (every consumer ends
+                anyway once it drains).
+        """
+        with self._lock:
+            if self._closed:
+                raise QueueClosed
+            self._retiring += 1
+            self._not_empty.notify()
 
     def close(self) -> None:
         """Refuse further puts; consumers drain the remainder."""

@@ -3,8 +3,8 @@
 One :class:`ServeTelemetry` instance rides along a serving run.  Every
 frame contributes to three stage histograms —
 
-* ``queue_wait`` — submit → micro-batch dispatch,
-* ``execute`` — batch dispatch → beamformed,
+* ``queue_wait`` — submit → a worker takes the frame,
+* ``execute`` — taken → beamformed,
 * ``total`` — submit → beamformed,
 
 plus batch-size and queue-depth gauges and the ToF-plan-cache hit rate
@@ -24,8 +24,6 @@ run starts with (:meth:`workers_started`), the engine's live
 :meth:`worker_exited`), the resulting ``live`` pool, and the
 ``threads`` each worker gets from the process thread budget
 (:meth:`observe_worker_threads`, see :mod:`repro.runtime`).
-``stats()["batch_reasons"]`` counts dispatched batches by what
-dispatched them (:meth:`batch_dispatched`).
 
 Latency samples are held in a **bounded reservoir**
 (:class:`LatencyStats`): the first ``cap`` samples are kept exactly,
@@ -46,9 +44,6 @@ from repro.beamform.tof import tof_plan_cache_stats
 from repro.serve.clock import Clock, MonotonicClock
 
 PERCENTILES = (50.0, 95.0, 99.0)
-
-#: What can dispatch a micro-batch (``MicroBatch.reason``).
-BATCH_REASONS = ("max_batch", "deadline", "idle", "flush")
 
 #: Default latency-reservoir size.  4096 uniform samples put the p99
 #: estimate within a few percent of the exact value (see the accuracy
@@ -209,7 +204,6 @@ class ServeTelemetry:
         self._workers_spawned = 0
         self._workers_exited = 0
         self._worker_threads: int | None = None
-        self._batch_reasons = dict.fromkeys(BATCH_REASONS, 0)
         self._cache_start = tof_plan_cache_stats()
 
     # -- recording -------------------------------------------------------
@@ -246,7 +240,7 @@ class ServeTelemetry:
 
         Args:
             submit_times: per-frame submit timestamps (engine clock).
-            dispatch_time: when the batch left the scheduler.
+            dispatch_time: when a worker took the batch.
             done_time: when its images were available.
         """
         execute = done_time - dispatch_time
@@ -276,12 +270,6 @@ class ServeTelemetry:
             self._frames_done += len(submit_times)
             self._window_frames_done += len(submit_times)
             self._last_done = done_time
-
-    def batch_dispatched(self, reason: str) -> None:
-        """Count one micro-batch leaving the scheduler, by its reason."""
-        with self._lock:
-            self._seq += 1
-            self._batch_reasons[reason] += 1
 
     def observe_queue_depth(self, name: str, depth: int) -> None:
         """Track the high-water mark of the named queue."""
@@ -372,7 +360,6 @@ class ServeTelemetry:
                 "max_batch_size": (
                     int(batches._max) if batches.count else None
                 ),
-                "batch_reasons": dict(self._batch_reasons),
                 "stages": {
                     name: stats.snapshot()
                     for name, stats in self._stages.items()

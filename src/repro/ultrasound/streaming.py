@@ -17,7 +17,7 @@ single dataset objects.  Two generators provide those streams:
 Both preserve the base acquisition geometry exactly (probe, grid, angle,
 sound speed, record length), so every streamed frame resolves to the
 same cached :class:`~repro.beamform.tof.TofPlan` and the serving
-scheduler can batch the whole stream under one plan.
+engine can batch the whole stream under one plan.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ def das_gateway(sim_contrast_dataset):
     engine = ServeEngine(
         create_beamformer("das"),
         max_batch=4,
-        max_latency_ms=5.0,
         keep_images=False,
         log_every_s=0,
     )
@@ -156,7 +155,6 @@ class TestFrameRejects:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         dataset = sim_contrast_dataset
@@ -243,7 +241,6 @@ class TestDisconnects:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         dataset = sim_contrast_dataset
@@ -302,7 +299,6 @@ class TestEngineFailure:
         engine = ServeEngine(
             _RaisingBeamformer(),
             max_batch=1,
-            max_latency_ms=1.0,
             log_every_s=0,
         )
         gateway = GatewayServer(engine, port=0, max_inflight=4).start()
@@ -327,7 +323,6 @@ class TestEngineFailure:
             _RaisingBeamformer(),
             n_workers=2,
             max_batch=1,
-            max_latency_ms=1.0,
             log_every_s=0,
         )
         gateway = GatewayServer(engine, port=0, max_inflight=4).start()
@@ -364,7 +359,6 @@ class TestGracefulDrain:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             keep_images=False,
             log_every_s=0,
         )
@@ -417,7 +411,6 @@ class TestGracefulDrain:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         dataset = sim_contrast_dataset
@@ -452,7 +445,6 @@ class TestRuntimeAdmission:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         dataset = sim_contrast_dataset
@@ -519,7 +511,6 @@ class TestNonBlockingHarvest:
         engine = ServeEngine(
             gated_beamformer,
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         with GatewayServer(

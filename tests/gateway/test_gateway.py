@@ -73,7 +73,6 @@ class TestThreadedParity:
         engine = ServeEngine(
             das,
             max_batch=4,
-            max_latency_ms=5.0,
             keep_images=False,
             log_every_s=0,
         )
@@ -92,7 +91,7 @@ class TestThreadedParity:
     ):
         das = create_beamformer("das")
         engine = ServeEngine(
-            das, max_batch=2, max_latency_ms=5.0, log_every_s=0
+            das, max_batch=2, log_every_s=0
         )
         with GatewayServer(engine, port=0, max_inflight=8) as gateway:
             with GatewayClient("127.0.0.1", gateway.port) as client:
@@ -127,7 +126,6 @@ class TestConcurrentSessionsAcceptance:
             das,
             n_workers=2,
             max_batch=4,
-            max_latency_ms=5.0,
             keep_images=False,
             log_every_s=0,
         )
@@ -155,7 +153,6 @@ class TestStats:
         engine = ServeEngine(
             create_beamformer("das"),
             max_batch=4,
-            max_latency_ms=5.0,
             log_every_s=0,
         )
         with GatewayServer(engine, port=0) as gateway:

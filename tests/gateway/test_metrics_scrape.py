@@ -48,7 +48,6 @@ def traced_gateway(sim_contrast_dataset):
     engine = ServeEngine(
         create_beamformer("das"),
         max_batch=4,
-        max_latency_ms=5.0,
         keep_images=False,
         log_every_s=0,
         observability=Observability.create(sample_rate=1.0),

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import create_beamformer
 from repro.backend import available_backends, get_backend
+from repro.gateway.__main__ import build_parser as gateway_parser
 from repro.models.registry import build_model
 from repro.obs import parse_event_lines
 from repro.obs.profile import ProfilingBackend, disable_kernel_profiling
@@ -87,6 +88,18 @@ class TestParser:
             parse("--beamformer", "tiny_vbf@20 bits", "--pe-emu")
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_batching_deadline_is_gone(self, capsys):
+        # Workers take frames straight from the ingest queue, so no
+        # frame waits on a deadline: both CLIs refuse the old flag and
+        # the engine refuses the old argument.
+        for parser in (build_parser(), gateway_parser()):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["--max-latency-ms", "25"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            ServeEngine(create_beamformer("das"), max_latency_ms=25.0)
 
     @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
     def test_every_backpressure_policy_parses(self, policy):
@@ -230,6 +243,16 @@ class TestMain:
         assert report["beamformer"]["name"] == "das"
         assert report["stats"]["frames_in"] == 3
         assert report["control"] is None
+
+    def test_max_batch_and_queue_capacity_reach_the_run(self, capsys):
+        report = run_main(
+            capsys, "--frames", "6", "--max-batch", "2",
+            "--queue-capacity", "3",
+        )
+        stats = report["stats"]
+        assert report["completed"] == 6
+        assert 1 <= stats["max_batch_size"] <= 2
+        assert stats["queue_high_water"]["ingest"] <= 3
 
     def test_probe_run_with_two_workers(self, capsys):
         report = run_main(

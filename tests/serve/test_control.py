@@ -29,20 +29,16 @@ class StubEngine:
     run active).
     """
 
-    def __init__(self, max_batch=4, max_latency_ms=25.0, workers=2):
+    def __init__(self, max_batch=4, workers=2):
         self.max_batch = max_batch
-        self.max_latency_ms = max_latency_ms
         self.workers = workers
         self.refuse_add = False
         self.refuse_retire = False
         self.calls = []
 
-    def set_batching(self, max_batch=None, max_latency_ms=None):
-        if max_batch is not None:
-            self.max_batch = max_batch
-        if max_latency_ms is not None:
-            self.max_latency_ms = max_latency_ms
-        self.calls.append(("set_batching", max_batch, max_latency_ms))
+    def set_batching(self, max_batch):
+        self.max_batch = max_batch
+        self.calls.append(("set_batching", max_batch))
 
     @property
     def live_workers(self):
@@ -106,7 +102,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ControlBounds(min_batch=8, max_batch=4)
         with pytest.raises(ValueError):
-            ControlBounds(min_latency_ms=0.0)
+            ControlBounds(min_batch=0)
         with pytest.raises(ValueError):
             ControlBounds(min_workers=4, max_workers=2)
         with pytest.raises(ValueError):
@@ -162,47 +158,77 @@ class TestBatchingPolicy:
         paint_window(telemetry, clock, p99_s=0.090)
         assert controller.tick() == []
 
-    def test_latency_breach_halves_deadline_first(self, rig):
+    def test_latency_breach_shrinks_batch_at_once(self, rig):
         clock, telemetry, engine, controller = self.make(rig)
         paint_window(telemetry, clock, p99_s=0.300)  # 3x the SLO
         actions = controller.tick()
-        assert [a.action for a in actions] == ["cut_deadline"]
-        assert engine.max_latency_ms == 12.5
-        assert engine.max_batch == 4  # batch untouched while cutting
-
-    def test_breach_with_floored_deadline_shrinks_batch(self, rig):
-        clock, telemetry, engine, controller = self.make(
-            rig, min_latency_ms=12.5
-        )
-        paint_window(telemetry, clock, p99_s=0.300)
-        controller.tick()  # cuts 25 -> 12.5 (the floor)
-        paint_window(telemetry, clock, p99_s=0.300)
-        actions = controller.tick()
         assert [a.action for a in actions] == ["shrink_batch"]
         assert engine.max_batch == 3
+        assert engine.calls == [("set_batching", 3)]
+
+    def test_sustained_breach_shrinks_down_to_the_floor(self, rig):
+        clock, telemetry, engine, controller = self.make(
+            rig, min_batch=2
+        )
+        shrunk = []
+        for _ in range(4):
+            paint_window(telemetry, clock, p99_s=0.300)
+            shrunk += [a.value for a in controller.tick()]
+        # One step per breached tick, then hold at the floor.
+        assert shrunk == [3.0, 2.0]
+        assert engine.max_batch == 2
 
     def test_queue_breach_grows_batch_to_amortize(self, rig):
         clock, telemetry, engine, controller = self.make(rig)
         paint_window(telemetry, clock, p99_s=0.300, depth=1000)
         actions = controller.tick()
         # Backlog beats latency in the decision order: batch grows
-        # (amortization) instead of the deadline fragmenting it.
+        # (amortization) instead of shrinking.
         assert [a.action for a in actions] == ["grow_batch"]
         assert engine.max_batch == 5
 
-    def test_healthy_window_restores_a_cut_deadline(self, rig):
+    def test_healthy_window_grows_a_shrunk_batch_back(self, rig):
         clock, telemetry, engine, controller = self.make(
             rig, max_batch=4
         )
         paint_window(telemetry, clock, p99_s=0.300)
         controller.tick()
-        assert engine.max_latency_ms == 12.5
+        assert engine.max_batch == 3
         paint_window(telemetry, clock, p99_s=0.020)
         actions = controller.tick()
-        # Batch already at bounds -> the healthy step relaxes the
-        # deadline back toward its configured base instead.
-        assert [a.action for a in actions] == ["restore_deadline"]
-        assert engine.max_latency_ms == 25.0  # never past the base
+        assert [a.action for a in actions] == ["grow_batch"]
+        assert engine.max_batch == 4
+        paint_window(telemetry, clock, p99_s=0.020)
+        assert controller.tick() == []  # never past the bound
+
+    def test_queue_breach_at_the_cap_holds(self, rig):
+        clock, telemetry, engine, controller = self.make(
+            rig, max_batch=4
+        )
+        paint_window(telemetry, clock, p99_s=0.020, depth=1000)
+        assert controller.tick() == []
+        assert engine.calls == []
+
+    def test_steers_a_real_engine(self, rig):
+        # ServeEngine.set_batching takes the controller's keyword call
+        # and validates it; the engine needs no run for that.
+        clock, telemetry, _ = rig
+        engine = ServeEngine(
+            create_beamformer("das"), max_batch=2, log_every_s=0
+        )
+        controller = ServoController(
+            SLO(p99_latency_s=0.100), telemetry, engine=engine,
+            bounds=ControlBounds(min_batch=1, max_batch=3), clock=clock,
+        )
+        values = []
+        for p99_s in (0.020, 0.020, 0.300, 0.300, 0.300):
+            paint_window(telemetry, clock, p99_s=p99_s)
+            values += [(a.action, a.value) for a in controller.tick()]
+        assert values == [
+            ("grow_batch", 3.0), ("shrink_batch", 2.0),
+            ("shrink_batch", 1.0),
+        ]
+        assert engine.max_batch == 1
 
     def test_breaches_counted_in_status(self, rig):
         clock, telemetry, engine, controller = self.make(rig)
@@ -212,6 +238,9 @@ class TestBatchingPolicy:
         assert status["breaches"] == 2  # latency AND queue signals
         assert status["ticks"] == 1
         assert status["engine"]["max_batch"] == engine.max_batch
+        assert status["engine"] == {
+            "max_batch": engine.max_batch, "live_workers": engine.workers,
+        }
 
 
 class TestAdmissionPolicy:
@@ -342,6 +371,32 @@ class TestScalingPolicy:
             paint_window(telemetry, clock, p99_s=0.300)
             controller.tick()
         assert engine.live_workers == 0
+        assert [a for a in controller.actions if a.policy == "scaling"] == []
+
+    def test_sustained_latency_breach_adds_a_worker_below_the_cap(
+        self, rig
+    ):
+        # Batching shrinks on each breached tick; a breach that outlasts
+        # patience adds a worker wherever max_batch stands.
+        clock, telemetry, engine, controller = self.make(
+            rig, max_batch=64
+        )
+        for _ in range(2):
+            paint_window(telemetry, clock, p99_s=0.300)
+            controller.tick()
+        assert engine.max_batch == 2
+        assert engine.workers == 3
+        kinds = [a.action for a in controller.actions]
+        assert kinds == ["shrink_batch", "shrink_batch", "add_worker"]
+
+    def test_add_respects_max_workers(self, rig):
+        clock, telemetry, engine, controller = self.make(
+            rig, max_workers=2
+        )
+        for _ in range(4):
+            paint_window(telemetry, clock, p99_s=0.300)
+            controller.tick()
+        assert engine.workers == 2
         assert [a for a in controller.actions if a.policy == "scaling"] == []
 
     def test_cooldown_prevents_flapping(self, rig):

@@ -18,14 +18,10 @@ import pytest
 from repro.api import Beamformer, create_beamformer
 from repro.backend import available_backends, get_backend, set_backend
 from repro.models.registry import build_model
-from repro.serve import MicroBatcher, ReplaySource, ServeEngine
+from repro.serve import ReplaySource, ServeEngine, ServeTelemetry
 from repro.ultrasound import stream_gain_drift
 
 N_FRAMES = 10
-
-#: A batching deadline no test reaches: with it, a frame that is not
-#: dispatched to an idle worker waits until the source ends.
-HOUR_MS = 3_600_000
 
 #: Bound on every wait for the engine; exceeding it fails the test.
 WAIT_S = 30.0
@@ -99,6 +95,20 @@ class ReleasingSource:
     def __iter__(self):
         yield from self.frames
         self.beamformer.release()
+
+
+class WatchedDataset:
+    """A dataset proxy whose ``keyed`` event is set once its geometry
+    (``probe``) has been read."""
+
+    def __init__(self, dataset) -> None:
+        self._dataset = dataset
+        self.keyed = threading.Event()
+
+    def __getattr__(self, name):
+        if name == "probe":
+            self.keyed.set()
+        return getattr(self._dataset, name)
 
 
 class TestLosslessServing:
@@ -292,6 +302,21 @@ class TestTelemetryReport:
         # Same geometry throughout: at most one plan build.
         assert stats["plan_cache"]["misses"] <= 1
 
+    def test_ingest_is_the_only_queue_and_capacity_bounds_it(
+        self, frames
+    ):
+        # perfbench reads mean_batch_size and queue_high_water; every
+        # waiting frame sits in the ingest queue, under its bound.
+        engine = ServeEngine(
+            create_beamformer("das"), max_batch=2, queue_capacity=3,
+            n_workers=2, log_every_s=0,
+        )
+        stats = engine.serve(ReplaySource(frames)).stats
+        assert set(stats["queue_high_water"]) == {"ingest"}
+        assert 1 <= stats["queue_high_water"]["ingest"] <= 3
+        assert 1.0 <= stats["mean_batch_size"] <= 2.0
+        assert stats["mean_batch_size"] == N_FRAMES / stats["batches"]
+
     def test_batches_respect_max_batch(self, frames):
         engine = ServeEngine(
             create_beamformer("das"), max_batch=3, log_every_s=0
@@ -336,9 +361,9 @@ class TestFailure:
         assert engine.serve(ReplaySource(frames[:2])).completed == 2
         assert not engine.broken
 
-    def test_batcher_error_propagates_without_hanging(self):
-        # Objects without probe/grid/... blow up inside the batcher
-        # thread (dataset_plan_key); the engine must surface that as an
+    def test_unkeyable_frame_error_propagates_without_hanging(self):
+        # Objects without probe/grid/... cannot be keyed by geometry
+        # (dataset_plan_key); the engine must surface that as an
         # exception, not a deadlock of blocked producer and workers.
         engine = ServeEngine(
             create_beamformer("das"),
@@ -484,45 +509,56 @@ class TestLiveWorkerLifecycle:
         engine.serve(ReplaySource(frames[:2]))
         assert not engine.add_worker()  # run over: pool is gone
 
-    def test_set_batching_mid_run_reaches_the_scheduler(self, frames):
-        das = create_beamformer("das")
-        engine = ServeEngine(
-            das, n_workers=1, max_batch=1, max_latency_ms=1000.0,
-            log_every_s=0,
-        )
-        sizes = []
-
-        def source():
-            for index, frame in enumerate(frames):
-                if index == 4:
-                    engine.set_batching(max_batch=4)
-                yield frame
-
-        report = engine.serve(
-            source(),
-            sink=lambda seq, dataset, image: sizes.append(seq),
-        )
-        assert report.completed == len(frames)
-        # The live scheduler picked up the new cap: telemetry saw at
-        # least one batch above the original max_batch=1.
-        assert report.stats["max_batch_size"] >= 2
+    def test_max_batch_is_validated_before_any_run(self):
+        with pytest.raises(ValueError):
+            ServeEngine(create_beamformer("das"), max_batch=0)
+        engine = ServeEngine(create_beamformer("das"), max_batch=2)
         with pytest.raises(ValueError):
             engine.set_batching(max_batch=0)
+        assert engine.max_batch == 2
+
+    def test_set_batching_mid_run_reaches_the_workers(self, frames):
+        # The worker takes frame 0 under max_batch=1 and blocks on it;
+        # the cap then rises to 4, and the four frames queued behind it
+        # go as one batch once the gate opens.
+        beamformer = GatedBeamformer()
+        engine = ServeEngine(
+            beamformer, n_workers=1, max_batch=1, log_every_s=0
+        )
+
+        def source():
+            try:
+                yield frames[0]
+                assert beamformer.entered.wait(timeout=WAIT_S)
+                engine.set_batching(max_batch=4)
+                yield from frames[1:5]
+                beamformer.release()
+            finally:
+                beamformer.release()  # never leave a worker at the gate
+
+        report = engine.serve(source())
+        assert report.completed == 5
+        assert report.stats["batches"] == 2
+        assert report.stats["max_batch_size"] == 4
+        with pytest.raises(ValueError):
+            engine.set_batching(max_batch=0)
+        assert engine.max_batch == 4
 
 
 class TestWorkConservingDispatch:
-    """A frame waits for its batch only while every worker is busy.
+    """Workers take frames straight from the ingest queue.
 
-    The batching deadline is an hour, so only the idle-worker rule can
-    dispatch a frame before the source ends; each wait for the engine
-    is bounded by ``WAIT_S`` and fails the test when it expires.
+    An idle worker gets a frame at once, and a busy pool batches what
+    queued up meanwhile.  A source generator resumes only after its
+    last frame is in the ingest queue, which orders the steps below;
+    each wait for the engine is bounded by ``WAIT_S`` and fails the
+    test when it expires.
     """
 
     def test_lockstep_frames_go_straight_to_the_idle_worker(self, frames):
         das = create_beamformer("das")
         engine = ServeEngine(
-            das, n_workers=1, max_batch=4, max_latency_ms=HOUR_MS,
-            log_every_s=0,
+            das, n_workers=1, max_batch=4, log_every_s=0,
         )
         delivered = threading.Semaphore(0)
 
@@ -537,43 +573,27 @@ class TestWorkConservingDispatch:
             source(), sink=lambda seq, dataset, image: delivered.release()
         )
         assert report.completed == len(frames)
-        assert report.stats["batch_reasons"] == {
-            "max_batch": 0, "deadline": 0, "idle": len(frames), "flush": 0,
-        }
+        assert report.stats["batches"] == len(frames)
         for frame, image in zip(frames, report.images):
             np.testing.assert_array_equal(das.beamform(frame), image)
 
     def test_freed_worker_takes_the_pending_frames_as_one_batch(
-        self, frames, monkeypatch
+        self, frames
     ):
         beamformer = GatedBeamformer()
         engine = ServeEngine(
-            beamformer, n_workers=1, max_batch=4, max_latency_ms=HOUR_MS,
-            log_every_s=0,
+            beamformer, n_workers=1, max_batch=4, log_every_s=0,
         )
-        # Count frames as they reach the scheduler, so the gate opens
-        # only once frames 2 and 3 are both pending there.
-        added = threading.Semaphore(0)
-        original_add = MicroBatcher.add
-
-        def counting_add(self, frame):
-            original_add(self, frame)
-            added.release()
-
-        monkeypatch.setattr(MicroBatcher, "add", counting_add)
         delivered = threading.Semaphore(0)
 
         def source():
             try:
                 yield frames[0]
                 assert beamformer.entered.wait(timeout=WAIT_S), (
-                    "frame 1 was held while the worker was idle"
+                    "frame 0 was held while the worker was idle"
                 )
-                assert added.acquire(timeout=WAIT_S)
                 yield frames[1]
                 yield frames[2]
-                for _ in range(2):
-                    assert added.acquire(timeout=WAIT_S)
                 beamformer.release()
                 for index in range(3):
                     assert delivered.acquire(timeout=WAIT_S), (
@@ -590,21 +610,18 @@ class TestWorkConservingDispatch:
         stats = report.stats
         assert stats["batches"] == 2
         assert stats["max_batch_size"] == 2
-        assert stats["batch_reasons"]["idle"] == 2
-
 
     def test_retire_is_not_starved_by_pending_frames(
         self, mixed_frames, monkeypatch
     ):
         # Both workers are busy and two frames of different geometries
-        # are pending when the retire is requested: the first worker to
-        # free up must take the retire token, and the survivor runs
-        # both pending frames.
+        # are queued when the retire is requested: the first worker to
+        # free up must take the retire, and the survivor runs both
+        # queued frames.
         frames = mixed_frames
         beamformer = GatedBeamformer()
         engine = ServeEngine(
-            beamformer, n_workers=2, max_batch=4, max_latency_ms=HOUR_MS,
-            log_every_s=0,
+            beamformer, n_workers=2, max_batch=4, log_every_s=0,
         )
         entered = threading.Semaphore(0)
         original_batch = GatedBeamformer.beamform_batch
@@ -614,14 +631,6 @@ class TestWorkConservingDispatch:
             return original_batch(self, datasets)
 
         monkeypatch.setattr(GatedBeamformer, "beamform_batch", counting_batch)
-        added = threading.Semaphore(0)
-        original_add = MicroBatcher.add
-
-        def counting_add(self, frame):
-            original_add(self, frame)
-            added.release()
-
-        monkeypatch.setattr(MicroBatcher, "add", counting_add)
         threads: dict[int, str] = {}
         delivered = threading.Semaphore(0)
 
@@ -638,8 +647,6 @@ class TestWorkConservingDispatch:
                 assert engine.retire_worker()
                 yield frames[2]
                 yield frames[3]
-                for _ in range(4):
-                    assert added.acquire(timeout=WAIT_S)
                 beamformer.release()
                 for _ in range(4):
                     assert delivered.acquire(timeout=WAIT_S)
@@ -651,17 +658,124 @@ class TestWorkConservingDispatch:
         assert threads[2] == threads[3]
         assert report.stats["workers"]["exited"] == 1
 
+    def test_retire_wakes_an_idle_worker(self, frames):
+        # With no frame in sight, retire_worker() on an idle two-worker
+        # pool makes one worker exit at once.
+        exited = threading.Event()
+
+        class ExitTelemetry(ServeTelemetry):
+            def worker_exited(self, count=1):
+                super().worker_exited(count)
+                exited.set()
+
+        das = create_beamformer("das")
+        engine = ServeEngine(das, n_workers=2, log_every_s=0)
+        seen_before_first_frame = []
+
+        def source():
+            assert engine.retire_worker()
+            seen_before_first_frame.append(exited.wait(timeout=WAIT_S))
+            yield from frames[:3]
+
+        report = engine.serve(
+            source(), telemetry=ExitTelemetry(clock=engine.clock)
+        )
+        assert seen_before_first_frame == [True]
+        assert report.completed == 3
+        assert report.stats["frames_in"] == 3
+        workers = report.stats["workers"]
+        assert (workers["exited"], workers["live"]) == (1, 1)
+        for frame, image in zip(frames, report.images):
+            np.testing.assert_array_equal(das.beamform(frame), image)
+
+    def test_busy_pool_batches_each_geometry_apart(
+        self, mixed_frames, monkeypatch
+    ):
+        # Frames of two geometries queue up, interleaved, behind the
+        # gated worker; it then takes them as one batch per geometry,
+        # oldest first.
+        from repro.api import dataset_plan_key
+
+        beamformer = GatedBeamformer()
+        batches = []
+        original_batch = GatedBeamformer.beamform_batch
+
+        def recording_batch(self, datasets):
+            batches.append([dataset_plan_key(d) for d in datasets])
+            return original_batch(self, datasets)
+
+        monkeypatch.setattr(
+            GatedBeamformer, "beamform_batch", recording_batch
+        )
+        engine = ServeEngine(
+            beamformer, n_workers=1, max_batch=4, log_every_s=0,
+        )
+
+        def source():
+            try:
+                yield mixed_frames[0]
+                assert beamformer.entered.wait(timeout=WAIT_S)
+                yield from mixed_frames[1:5]
+                beamformer.release()
+            finally:
+                beamformer.release()
+
+        report = engine.serve(source())
+        assert report.completed == 5
+        straight = dataset_plan_key(mixed_frames[0])
+        angled = dataset_plan_key(mixed_frames[1])
+        assert batches == [[straight], [angled, angled], [straight, straight]]
+        for frame, image in zip(mixed_frames, report.images):
+            np.testing.assert_array_equal(
+                beamformer.inner.beamform(frame), image
+            )
+
+    def test_drop_oldest_reaches_every_waiting_frame(self, frames):
+        # The only worker is gated on frame 0; frames 1-6 wait in a
+        # 2-slot queue, so eviction drops 1-4 and 5 and 6 then run as
+        # one batch.  The source sends a frame only once the engine has
+        # read the previous one's geometry, so every frame has reached
+        # the place it waits in; one waiting outside the bounded queue
+        # would escape eviction.
+        beamformer = GatedBeamformer()
+        engine = ServeEngine(
+            beamformer, n_workers=1, max_batch=4, queue_capacity=2,
+            backpressure="drop_oldest", log_every_s=0,
+        )
+        watched = [WatchedDataset(frame) for frame in frames[:7]]
+
+        def source():
+            try:
+                yield watched[0]
+                assert beamformer.entered.wait(timeout=WAIT_S)
+                for frame in watched[1:]:
+                    yield frame
+                    assert frame.keyed.wait(timeout=WAIT_S)
+                beamformer.release()
+            finally:
+                beamformer.release()
+
+        report = engine.serve(source())
+        assert report.dropped == [1, 2, 3, 4]
+        assert [seq for seq, image in enumerate(report.images)
+                if image is not None] == [0, 5, 6]
+        assert report.stats["batches"] == 2
+        assert report.stats["max_batch_size"] == 2
+        for seq in (0, 5, 6):
+            np.testing.assert_array_equal(
+                beamformer.inner.beamform(frames[seq]), report.images[seq]
+            )
 
     def test_many_workers_conserve_frames_under_fast_switching(
         self, mixed_frames
     ):
         # More workers than cores, mixed geometries, live add/retire and
-        # a 10 us switch interval: a lost update to the dispatch counts
-        # would strand a frame (a hang) or run one twice.
+        # a 10 us switch interval: a lost wake-up in the hand-off would
+        # strand a frame (a hang) and a lost update would run one twice.
         stream = mixed_frames * 4
         engine = ServeEngine(
             create_beamformer("das"), n_workers=6, max_batch=2,
-            max_latency_ms=1.0, log_every_s=0,
+            log_every_s=0,
         )
         delivered: list[int] = []
         lock = threading.Lock()
@@ -692,7 +806,9 @@ class TestWorkConservingDispatch:
         assert not thread.is_alive(), "serve did not finish"
         assert sorted(delivered) == list(range(len(stream)))
         stats = reports[0].stats
-        assert sum(stats["batch_reasons"].values()) == stats["batches"]
+        assert stats["frames_done"] == len(stream)
+        assert stats["max_batch_size"] <= 2
+        assert engine.live_workers == 0
 
 
 class TestSoak:

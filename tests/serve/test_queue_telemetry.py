@@ -169,19 +169,6 @@ class TestWorkerTelemetry:
         assert "3 threads/worker" in telemetry.log_line()
 
 
-class TestBatchReasons:
-    def test_dispatched_batches_counted_by_reason(self):
-        telemetry = ServeTelemetry(clock=FakeClock())
-        assert telemetry.stats()["batch_reasons"] == {
-            "max_batch": 0, "deadline": 0, "idle": 0, "flush": 0,
-        }
-        for reason in ("idle", "idle", "deadline", "flush"):
-            telemetry.batch_dispatched(reason)
-        assert telemetry.stats()["batch_reasons"] == {
-            "max_batch": 0, "deadline": 1, "idle": 2, "flush": 1,
-        }
-
-
 class TestQueueStats:
     def test_stats_snapshot_is_consistent(self):
         queue = BoundedQueue(2, "drop_oldest")

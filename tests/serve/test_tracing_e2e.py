@@ -8,6 +8,7 @@ worker fails or backpressure evicts frames.
 """
 
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -67,19 +68,22 @@ class TestSpanCompleteness:
             assert execute["end"] <= root["end"]
             assert execute["attrs"]["batch_size"] >= 1
 
-    def test_queue_wait_names_the_dispatch_reason(self, frames):
-        engine, obs = traced_engine(create_beamformer("das"))
+    def test_execute_spans_account_for_every_batch(self, frames):
+        # Each frame of a k-frame batch carries batch_size=k on its
+        # execute span, so the spans add up to the batch count.
+        engine, obs = traced_engine(
+            create_beamformer("das"), max_batch=3
+        )
         report = engine.serve(ReplaySource(frames))
-        reasons = [
-            root["children"][0]["attrs"]["reason"]
+        sizes = [
+            root["children"][1]["attrs"]["batch_size"]
             for _, root in completed_roots(obs)
         ]
-        assert len(reasons) == len(frames)
-        counted = report.stats["batch_reasons"]
-        assert set(reasons) <= {
-            reason for reason, batches in counted.items() if batches
-        }
-        assert sum(counted.values()) == report.stats["batches"]
+        assert len(sizes) == len(frames)
+        assert all(1 <= size <= 3 for size in sizes)
+        assert sum(Fraction(1, size) for size in sizes) == (
+            report.stats["batches"]
+        )
 
     def test_trace_counters_balance(self, frames):
         engine, obs = traced_engine(create_beamformer("das"))
