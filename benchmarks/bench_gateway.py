@@ -28,7 +28,11 @@ A third leg re-runs the gateway with every frame traced
 (:data:`~compare_bench.RATIO_TOLERANCES`): full-fidelity tracing must
 stay within a few percent of free, or the "observability costs
 ~nothing until you turn a knob" contract in ``docs/observability.md``
-is broken.
+is broken.  A smoke leg lasts about 0.3 s, so one scheduling hiccup
+moves a single pair by 10-30 %: one warmed gateway per leg type serves
+:data:`TRACE_ROUNDS` rounds, alternating which leg goes first, and the
+reported ratio is the median of the rounds' ratios (the gateway times
+are the medians of their legs).
 
 Writes ``benchmarks/BENCH_gateway.json``.
 
@@ -41,8 +45,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +64,10 @@ from repro.ultrasound import simulation_contrast, stream_gain_drift
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_gateway.json"
 
 SPECS = ("das", "tiny_vbf")
+
+#: Untraced/traced gateway leg pairs per spec, by mode: smoke legs are
+#: short and noisy, so they get more rounds.
+TRACE_ROUNDS = {"smoke": 30, "full": 10}
 
 
 def make_beamformer(spec: str):
@@ -90,33 +100,14 @@ def bench_inprocess(beamformer, frames, max_batch: int) -> float:
     return elapsed
 
 
-def bench_gateway(
-    beamformer,
-    frames,
-    clients: int,
-    max_batch: int,
-    expected,
-    sample_rate: float = 0.0,
-) -> float:
-    """Time ``clients`` concurrent sessions splitting ``frames``."""
+@contextmanager
+def running_gateway(
+    beamformer, frames, clients: int, max_batch: int, sample_rate: float
+):
+    """A gateway over a fresh engine, warmed up by one short session."""
     engine = make_engine(
         beamformer, max_batch, keep_images=False, sample_rate=sample_rate
     )
-    shares = [frames[index::clients] for index in range(clients)]
-    results: list = [None] * clients
-    errors: list = []
-    geometry = dataset_geometry(frames[0])
-
-    def one_session(index, port):
-        try:
-            with GatewayClient("127.0.0.1", port) as client:
-                client.connect(geometry)
-                results[index] = list(
-                    client.stream([f.rf for f in shares[index]])
-                )
-        except BaseException as exc:  # surfaced after the join
-            errors.append(exc)
-
     with GatewayServer(
         engine,
         port=0,
@@ -126,18 +117,38 @@ def bench_gateway(
     ) as gateway:
         # Warm-up session (plan cache, first-forward allocations).
         with GatewayClient("127.0.0.1", gateway.port) as warm:
-            warm.connect(geometry)
+            warm.connect(dataset_geometry(frames[0]))
             list(warm.stream([frames[0].rf, frames[1].rf]))
-        start = time.perf_counter()
-        threads = [
-            threading.Thread(target=one_session, args=(index, gateway.port))
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
+        yield gateway
+
+
+def bench_gateway(gateway, frames, clients: int, expected) -> float:
+    """Time ``clients`` concurrent sessions splitting ``frames``."""
+    shares = [frames[index::clients] for index in range(clients)]
+    results: list = [None] * clients
+    errors: list = []
+    geometry = dataset_geometry(frames[0])
+
+    def one_session(index):
+        try:
+            with GatewayClient("127.0.0.1", gateway.port) as client:
+                client.connect(geometry)
+                results[index] = list(
+                    client.stream([f.rf for f in shares[index]])
+                )
+        except BaseException as exc:  # surfaced after the join
+            errors.append(exc)
+
+    start = time.perf_counter()
+    threads = [
+        threading.Thread(target=one_session, args=(index,))
+        for index in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - start
     if errors:
         raise errors[0]
     served = sum(len(images) for images in results)
@@ -152,7 +163,7 @@ def bench_gateway(
 
 
 def bench_spec(
-    spec: str, frames, clients: int, max_batch: int
+    spec: str, frames, clients: int, max_batch: int, rounds: int
 ) -> dict:
     beamformer = make_beamformer(spec)
     beamformer.beamform(frames[0])  # warm-up: plan cache, BLAS
@@ -161,19 +172,27 @@ def bench_spec(
     ]
     n = len(frames)
     inprocess_s = bench_inprocess(beamformer, frames, max_batch)
-    gateway_s = bench_gateway(
-        beamformer, frames, clients, max_batch, expected
-    )
-    traced_s = bench_gateway(
-        beamformer, frames, clients, max_batch, expected,
-        sample_rate=1.0,
-    )
+    untraced: list[float] = []
+    traced: list[float] = []
+    with running_gateway(
+        beamformer, frames, clients, max_batch, sample_rate=0.0
+    ) as plain, running_gateway(
+        beamformer, frames, clients, max_batch, sample_rate=1.0
+    ) as full:
+        legs = [(plain, untraced), (full, traced)]
+        for index in range(rounds):
+            for gateway, times in legs if index % 2 == 0 else legs[::-1]:
+                times.append(bench_gateway(gateway, frames, clients, expected))
+    ratios = [a / b for a, b in zip(untraced, traced)]
+    gateway_s = statistics.median(untraced)
+    traced_s = statistics.median(traced)
     row = {
         "inprocess_fps": n / inprocess_s,
         "gateway_fps": n / gateway_s,
         "gateway_traced_fps": n / traced_s,
         "gateway_efficiency": inprocess_s / gateway_s,
-        "traced_vs_untraced": gateway_s / traced_s,
+        "traced_vs_untraced": statistics.median(ratios),
+        "traced_vs_untraced_rounds": ratios,
     }
     print(
         f"{spec:>18} | in-process {row['inprocess_fps']:6.2f} fps | "
@@ -203,14 +222,17 @@ def main(argv: list[str] | None = None) -> dict:
     base = simulation_contrast()
     frames = list(stream_gain_drift(base, n_frames, seed=0))
 
+    mode = "smoke" if args.smoke else "full"
     results = {
-        spec: bench_spec(spec, frames, clients, args.max_batch)
+        spec: bench_spec(
+            spec, frames, clients, args.max_batch, TRACE_ROUNDS[mode]
+        )
         for spec in specs
     }
 
     payload = {
         "bench": "gateway_throughput",
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         "n_frames": n_frames,
         "clients": clients,
         "max_batch": args.max_batch,

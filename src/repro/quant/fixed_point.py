@@ -4,6 +4,11 @@ A :class:`FixedPointFormat` is a signed two's-complement format with
 ``total_bits = 1 (sign) + integer_bits + fraction_bits``.  Quantization
 rounds to the nearest representable step and saturates at the format
 limits — the behaviour of the accelerator's datapath registers.
+
+:func:`round_steps` is that rounding rule on values already in step
+units (``value * 2**fraction_bits``).  :meth:`FixedPointFormat.quantize`
+and the quantized executor's GEMM epilogue (:mod:`repro.quant.qexec`)
+both go through it.
 """
 
 from __future__ import annotations
@@ -50,25 +55,37 @@ class FixedPointFormat:
         return 2.0 ** (-self.fraction_bits)
 
     @property
+    def scale(self) -> float:
+        """``2**fraction_bits``: one unit of value in steps."""
+        return 2.0 ** self.fraction_bits
+
+    @property
+    def step_range(self) -> tuple[int, int]:
+        """Smallest and largest step count of the word."""
+        return -(2 ** (self.total_bits - 1)), 2 ** (self.total_bits - 1) - 1
+
+    @property
     def max_value(self) -> float:
         """Largest representable value."""
-        return (2 ** (self.total_bits - 1) - 1) * self.resolution
+        return self.step_range[1] * self.resolution
 
     @property
     def min_value(self) -> float:
         """Smallest (most negative) representable value."""
-        return -(2 ** (self.total_bits - 1)) * self.resolution
+        return self.step_range[0] * self.resolution
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
-        """Round to the nearest representable value, saturating."""
+        """Round to the nearest representable value, saturating.
+
+        Bit for bit ``clip(round(values / resolution)) * resolution``
+        (scaling by a power of two is exact), computed in one fresh
+        float64 array; ``values`` is never written.
+        """
         values = np.asarray(values, dtype=float)
-        steps = np.round(values / self.resolution)
-        steps = np.clip(
-            steps,
-            -(2 ** (self.total_bits - 1)),
-            2 ** (self.total_bits - 1) - 1,
-        )
-        return steps * self.resolution
+        out = np.multiply(values, self.scale, out=np.empty_like(values))
+        round_steps(out, self)
+        out *= self.resolution
+        return out if out.ndim else out[()]
 
     def to_integers(self, values: np.ndarray) -> np.ndarray:
         """Integer (step-count) representation of ``quantize(values)``."""
@@ -89,3 +106,13 @@ class FixedPointFormat:
             f"Q{self.integer_bits}.{self.fraction_bits}"
             f" ({self.total_bits} bits)"
         )
+
+
+def round_steps(steps: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+    """Round step counts half-to-even and saturate them to ``fmt``.
+
+    Works in place on the float64 array ``steps`` and returns it.
+    """
+    np.rint(steps, out=steps)
+    low, high = fmt.step_range
+    return np.clip(steps, low, high, out=steps)

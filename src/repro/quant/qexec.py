@@ -22,6 +22,13 @@ partial sums stay exact for the Table-III word lengths.  Rounding each
 GEMM result once is then bit for bit the PE's round-at-the-end integer
 datapath (:class:`repro.fpga.emu.EmulatedPE`).
 
+The three GEMM sites (dense, attention scores, attention context)
+requantize their fresh output in place, in integer step units
+(:func:`_requantize`), so the accumulator round, the bias add and the
+write-back allocate nothing the size of the output.  Every other
+quantization, parameters included, goes through
+:meth:`FixedPointFormat.quantize`.
+
 :func:`pe_rounding` runs the three GEMM sites on that emulator instead:
 ``"round_at_end"`` is the oracle for the modeled path, ``"per_level"``
 the per-product-rounding datapath behind ``pe="emu-per-level"``.
@@ -46,7 +53,7 @@ from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import LearnedPositionalEmbedding
 from repro.nn.layers.layernorm import LayerNorm
 from repro.nn.layers.patches import Patchify, Unpatchify
-from repro.quant.fixed_point import FixedPointFormat
+from repro.quant.fixed_point import FixedPointFormat, round_steps
 from repro.quant.schemes import QuantizationScheme
 
 if TYPE_CHECKING:  # lazy at runtime: repro.fpga imports repro.quant
@@ -175,18 +182,45 @@ def quantized_forward(
     )
 
 
+def _requantize(
+    y: np.ndarray,
+    fmt: FixedPointFormat | None,
+    bias: np.ndarray | None = None,
+) -> np.ndarray:
+    """Quantize the fresh GEMM output ``y`` to ``fmt`` in place.
+
+    In step units: scale by ``2**f``, round half-to-even and saturate,
+    add the ``fmt``-quantized ``bias`` as steps and saturate again,
+    scale back.  Integer steps of Table-III words add exactly in
+    float64, so this is bit for bit ``_q(fmt, _q(fmt, y) + bias)``.
+    Only ever called on an array the GEMM just returned.
+    """
+    if fmt is None:
+        return y if bias is None else y + bias
+    y *= fmt.scale
+    round_steps(y, fmt)
+    if bias is not None:
+        y += bias * fmt.scale
+        np.clip(y, *fmt.step_range, out=y)
+    y *= fmt.resolution
+    return y
+
+
 def _quantized_dense(
     layer: Dense, x: np.ndarray, scheme: QuantizationScheme
 ) -> np.ndarray:
     """``x @ W + b`` on the PE: activations x weights."""
     weight = _q(scheme.weights, layer.weight.value)
+    bias = None
+    if layer.bias is not None:
+        bias = _q(scheme.arithmetic, layer.bias.value)
     pe = _emulated_pe(scheme, scheme.intermediate, scheme.weights)
     gemm = get_backend().matmul if pe is None else pe.matmul
-    y = _q(scheme.arithmetic, gemm(x, weight))
-    if layer.bias is not None:
-        y = _q(scheme.arithmetic,
-               y + _q(scheme.arithmetic, layer.bias.value))
-    return _q(scheme.intermediate, y)
+    y = _requantize(gemm(x, weight), scheme.arithmetic, bias)
+    if scheme.intermediate != scheme.arithmetic:
+        # Equal formats skip this: a value on its own grid stays put.
+        y = _requantize(y, scheme.intermediate)
+    return y
 
 
 def _quantized_attention(
@@ -199,21 +233,19 @@ def _quantized_attention(
     v = layer._split_heads(_quantized_dense(layer.value, x, scheme))
 
     scale = 1.0 / np.sqrt(layer.head_dim)
-    # Raw GEMM results stay temporaries: the score tensors are the
-    # largest arrays in the block.
     pe = _emulated_pe(scheme, scheme.intermediate, scheme.intermediate)
-    scores = _q(
-        scheme.arithmetic,
+    scores = _requantize(
         backend.attention_scores(q, k, scale) if pe is None
         else pe.matmul(q, np.swapaxes(k, -1, -2), scale=scale),
+        scheme.arithmetic,
     )
     attention = _q(scheme.softmax, softmax(scores, axis=-1))
 
     pe = _emulated_pe(scheme, scheme.softmax, scheme.intermediate)
-    context = _q(
-        scheme.arithmetic,
+    context = _requantize(
         backend.attention_context(attention, v) if pe is None
         else pe.matmul(attention, v),
+        scheme.arithmetic,
     )
     return _quantized_dense(layer.output, layer._merge_heads(context),
                             scheme)

@@ -5,8 +5,8 @@ A scheme assigns a fixed-point format (or float) to each datapath role:
 ==================  =========================================
 role                where it applies
 ==================  =========================================
-``weights``         model parameters, quantized at load time
-``arithmetic``      multiply/add results inside the PEs
+``weights``         model parameters, quantized on every forward
+``arithmetic``      multiply/add results inside the PEs, biases
 ``intermediate``    layer outputs written back to BRAM
 ``softmax``         the softmax unit's output probabilities
 ==================  =========================================

@@ -287,8 +287,9 @@ class TestQuantContracts:
     def test_quantize_calls_do_not_depend_on_the_backend(
         self, backend_name, monkeypatch, serving_tiny_vbf
     ):
-        """Every quantization goes through ``FixedPointFormat.quantize``
-        on every backend, so a counter on it sees one figure."""
+        """Every quantization outside the GEMM epilogue goes through
+        ``FixedPointFormat.quantize`` on every backend, so a counter on
+        it sees one figure."""
         model, x = serving_tiny_vbf
         original = FixedPointFormat.quantize
         calls = []

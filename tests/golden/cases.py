@@ -8,7 +8,11 @@ one hot path end to end:
 * ``tiny_vbf_forward`` — a miniature Tiny-VBF network's float forward
   pass (covers Dense / Conv-free attention GEMMs and the patch plumbing),
 * ``qexec_20bits`` — the same network through the 20-bit quantized
-  datapath (covers ``repro.quant.qexec``).
+  datapath (covers ``repro.quant.qexec``),
+* ``qexec_schemes`` — the network with seeded nonzero biases through
+  every Table-III scheme, once on the golden input and once on that
+  input scaled by :data:`SATURATION_GAIN`, which drives dense outputs
+  and the bias adds behind them past the Q5.x arithmetic limits.
 
 The frozen ``.npz`` files under ``tests/golden/data/`` store the exact
 inputs (including every model parameter) *and* outputs, so the test
@@ -39,6 +43,10 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 #: arrays stay a few kilobytes.
 GOLDEN_IMAGE_SHAPE = (16, 12)
 GOLDEN_N_ELEMENTS = 8
+#: Input gain of the saturation half of ``qexec_schemes``: keeps the
+#: input inside the Q5.x intermediate range (±32) but drives dense
+#: outputs and bias adds past the arithmetic limits under every scheme.
+SATURATION_GAIN = 30.0
 # Long enough that the 4-10 mm round-trip delays (~260 samples at
 # 20 MHz) land inside the record — otherwise the validity mask zeroes
 # the whole cube and the golden never exercises the interpolation.
@@ -111,6 +119,23 @@ def dump_model_params(model) -> dict:
     }
 
 
+def biased_model_params(model) -> dict:
+    """``dump_model_params`` with every bias drawn from U(-1, 1).
+
+    ``golden_model`` initialises biases to zero, so the float and
+    20-bit cases never add one; ``qexec_schemes`` needs the bias add
+    (and its saturation) in the frozen bytes.
+    """
+    rng = np.random.default_rng(20240303)
+    params = dump_model_params(model)
+    for index, param in enumerate(model.parameters()):
+        if param.name.endswith("/bias"):
+            params[f"param_{index}"] = rng.uniform(
+                -1.0, 1.0, param.value.shape
+            )
+    return params
+
+
 # --------------------------------------------------------------------------
 # Case computations (run on stored inputs by the test, on fresh inputs by
 # --update-golden; both paths share these functions).
@@ -132,6 +157,29 @@ def compute_tiny_vbf_forward(model, x: np.ndarray) -> dict:
 def compute_qexec_20bits(model, x: np.ndarray) -> dict:
     return {
         "output": quantized_forward(model.root, x, SCHEMES["20 bits"])
+    }
+
+
+#: Every quantized Table-III scheme, in ``SCHEMES`` order.
+QEXEC_SCHEMES = tuple(
+    name for name, scheme in SCHEMES.items() if not scheme.is_float
+)
+
+
+def scheme_key(name: str) -> str:
+    """A scheme name as an ``.npz`` key suffix (``hybrid-1`` -> ``hybrid1``)."""
+    return name.replace(" ", "").replace("-", "")
+
+
+def compute_qexec_scheme(
+    model, x: np.ndarray, x_saturating: np.ndarray, name: str
+) -> dict:
+    scheme, key = SCHEMES[name], scheme_key(name)
+    return {
+        f"output_{key}": quantized_forward(model.root, x, scheme),
+        f"saturated_{key}": quantized_forward(
+            model.root, x_saturating, scheme
+        ),
     }
 
 
@@ -168,5 +216,15 @@ def _generate_all_reference(data_dir: Path | None) -> list[Path]:
 
     path = data_dir / "qexec_20bits.npz"
     np.savez(path, x=x, **params, **compute_qexec_20bits(model, x))
+    written.append(path)
+
+    biased = biased_model_params(model)
+    load_model_params(model, biased)
+    x_saturating = SATURATION_GAIN * x
+    outputs = {}
+    for name in QEXEC_SCHEMES:
+        outputs.update(compute_qexec_scheme(model, x, x_saturating, name))
+    path = data_dir / "qexec_schemes.npz"
+    np.savez(path, x=x, x_saturating=x_saturating, **biased, **outputs)
     written.append(path)
     return written

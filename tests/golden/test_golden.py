@@ -1,10 +1,12 @@
 """Byte-level golden regression tests for the hot paths.
 
 The frozen ``.npz`` pairs under ``data/`` were generated on the
-pre-backend-refactor tree, so these tests pin the ``numpy`` reference
-backend to the historical numerics *bit-for-bit* — any refactor that
-changes a single ULP anywhere in ToF correction, DAS, the float forward
-pass or the 20-bit quantized datapath fails here with a byte diff.
+pre-backend-refactor tree (``qexec_schemes`` on the tree before the
+quantized GEMM epilogue went in place), so these tests pin the
+``numpy`` reference backend to the historical numerics *bit-for-bit* —
+any refactor that changes a single ULP anywhere in ToF correction, DAS,
+the float forward pass or the quantized datapath of any Table-III
+scheme, saturation included, fails here with a byte diff.
 
 Regenerate intentionally with::
 
@@ -64,6 +66,15 @@ def frozen_model():
     return model
 
 
+@pytest.fixture(scope="module")
+def biased_model():
+    """The miniature Tiny-VBF with ``qexec_schemes``' parameters."""
+    stored = np.load(cases.DATA_DIR / "qexec_schemes.npz")
+    model = cases.golden_model()
+    cases.load_model_params(model, stored)
+    return model
+
+
 class TestGoldenNumpyBackend:
     """The reference backend reproduces the pre-refactor bytes."""
 
@@ -94,6 +105,43 @@ class TestGoldenNumpyBackend:
                 frozen_model, stored["x"]
             )
         _assert_frozen("qexec_20bits", computed, update_golden)
+
+    @pytest.mark.parametrize("name", cases.QEXEC_SCHEMES)
+    def test_qexec_schemes(self, name, update_golden, biased_model):
+        stored = np.load(cases.DATA_DIR / "qexec_schemes.npz")
+        with use_backend("numpy"):
+            computed = cases.compute_qexec_scheme(
+                biased_model, stored["x"], stored["x_saturating"], name
+            )
+        _assert_frozen("qexec_schemes", computed, update_golden)
+
+    @pytest.mark.parametrize("name", cases.QEXEC_SCHEMES)
+    def test_saturation_case_saturates(self, name):
+        # Guards the golden itself: the scaled input must push the first
+        # dense layer's GEMM and its bias add past the arithmetic limits
+        # (plain step arithmetic, independent of qexec).
+        from repro.quant.schemes import SCHEMES
+
+        stored = np.load(cases.DATA_DIR / "qexec_schemes.npz")
+        scheme = SCHEMES[name]
+
+        def steps(fmt, values):
+            return np.round(values / fmt.resolution)
+
+        x = steps(scheme.intermediate, stored["x_saturating"])
+        weight = steps(scheme.weights, stored["param_0"])
+        gemm = steps(
+            scheme.arithmetic,
+            (x * scheme.intermediate.resolution)
+            @ (weight * scheme.weights.resolution),
+        )
+        bits = scheme.arithmetic.total_bits
+        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        summed = np.clip(gemm, low, high) + steps(
+            scheme.arithmetic, stored["param_1"]
+        )
+        assert ((gemm < low) | (gemm > high)).any()
+        assert ((summed < low) | (summed > high)).any()
 
     def test_qexec_output_is_quantized_grid(self, frozen_model):
         from repro.quant.schemes import SCHEMES

@@ -5,7 +5,10 @@ are generalized into hypothesis properties quantified over *random
 formats and random values*: round-trip, saturation, idempotence,
 error bounds, grid membership and monotonicity under random scales.
 A few constructive unit tests remain for the exact Q-notation
-arithmetic the properties cannot pin down.
+arithmetic the properties cannot pin down.  ``TestTextbookFormula``
+pins ``quantize`` bit for bit to ``clip(round(v / res)) * res`` over
+every input the formula defines: ties, signed zeros, infinities, NaN,
+float32 and integer arrays, strided views and scalars.
 """
 
 import numpy as np
@@ -149,3 +152,92 @@ class TestQuantizeProperties:
         err_coarse = np.abs(coarse.quantize(values) - values)
         err_fine = np.abs(fine.quantize(values) - values)
         assert np.all(err_fine <= err_coarse + 1e-300)
+
+
+def textbook(fmt: FixedPointFormat, values) -> np.ndarray:
+    """``clip(round(v / res), lo, hi) * res`` on the float64 input."""
+    values = np.asarray(values, dtype=float)
+    low = -(2 ** (fmt.total_bits - 1))
+    high = 2 ** (fmt.total_bits - 1) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.clip(np.round(values / fmt.resolution), low, high) * (
+            fmt.resolution
+        )
+
+
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300)
+
+
+@st.composite
+def quantize_inputs(draw):
+    """A format and an array of any dtype/layout with ties and specials."""
+    fmt = draw(formats())
+    low, high = -(2 ** (fmt.total_bits - 1)), 2 ** (fmt.total_bits - 1)
+    tie = st.integers(min_value=low - 4, max_value=high + 4).map(
+        lambda k: (k + 0.5) * fmt.resolution
+    )
+    element = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        tie,
+        st.sampled_from(SPECIAL_VALUES),
+    )
+    values = np.asarray(draw(st.lists(element, min_size=2, max_size=32)))
+    kind = draw(st.sampled_from(("float64", "float32", "int64")))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            values = values.astype(np.float32)
+    elif kind == "int64":
+        values = np.asarray(
+            draw(st.lists(st.integers(-(2**62), 2**62), min_size=2,
+                          max_size=32)),
+            dtype=np.int64,
+        )
+    layout = draw(st.sampled_from(("contiguous", "strided", "reversed",
+                                   "transposed")))
+    if layout == "strided":
+        values = values[::2]
+    elif layout == "reversed":
+        values = values[::-1]
+    elif layout == "transposed":
+        values = values[: 2 * (values.size // 2)].reshape(2, -1).T
+    return fmt, values
+
+
+def assert_bitwise(actual, expected) -> None:
+    actual = np.asarray(actual)
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestTextbookFormula:
+    @given(quantize_inputs())
+    def test_bitwise_textbook_and_input_untouched(self, case):
+        fmt, values = case
+        before = values.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = fmt.quantize(values)
+        assert_bitwise(result, textbook(fmt, values))
+        assert not np.shares_memory(result, values)
+        assert values.tobytes() == before.tobytes()
+
+    @given(formats(), st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(SPECIAL_VALUES),
+        st.integers(-(2**40), 2**40),
+    ))
+    def test_scalars_stay_scalars(self, fmt, value):
+        for scalar in (value, np.asarray(value), np.float64(value)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = fmt.quantize(scalar)
+            assert np.ndim(result) == 0
+            assert isinstance(result, np.float64)
+            assert_bitwise(result, textbook(fmt, value))
+
+    def test_half_step_ties_round_to_even(self):
+        fmt = FixedPointFormat(total_bits=8, fraction_bits=2)
+        ties = np.array([0.125, 0.375, -0.125, -0.375, 31.875, -32.125])
+        assert_bitwise(
+            fmt.quantize(ties),
+            np.array([0.0, 0.5, -0.0, -0.5, 31.75, -32.0]),
+        )

@@ -10,10 +10,13 @@ from repro.quant import (
     HYBRID1,
     HYBRID2,
     SCHEMES,
+    FixedPointFormat,
+    QuantizationScheme,
     QuantizedModel,
     quantized_forward,
     uniform_scheme,
 )
+from tests.quant.test_fixed_point import textbook
 
 
 class TestSchemes:
@@ -140,3 +143,54 @@ class TestQuantizedForward:
 
         with pytest.raises(TypeError):
             quantized_forward(Mystery(), np.zeros((1, 2)), HYBRID1)
+
+
+class TestGemmEpilogue:
+    """The in-place requantization at the GEMM sites."""
+
+    def test_intermediate_narrower_than_arithmetic(self):
+        # No built-in scheme has intermediate != arithmetic, so only this
+        # case takes the epilogue's second requantization.
+        scheme = QuantizationScheme(
+            name="custom",
+            weights=FixedPointFormat(8, 6),
+            softmax=FixedPointFormat(16, 14),
+            arithmetic=FixedPointFormat(20, 14),
+            intermediate=FixedPointFormat(12, 8),
+        )
+        layer = Dense(6, 5, seed=3)
+        rng = np.random.default_rng(3)
+        layer.bias.value = rng.uniform(-8.0, 8.0, 5)
+        x = rng.uniform(-60.0, 60.0, (2, 7, 6))
+        weight = textbook(scheme.weights, layer.weight.value)
+        bias = textbook(scheme.arithmetic, layer.bias.value)
+        gemm = textbook(scheme.arithmetic, x @ weight)
+        expected = textbook(
+            scheme.intermediate,
+            textbook(scheme.arithmetic, gemm + bias),
+        )
+        out = quantized_forward(layer, x, scheme)
+        assert out.tobytes() == expected.tobytes()
+        # Both saturations and the narrow write-back are exercised.
+        limit = scheme.arithmetic.max_value
+        assert (np.abs(x @ weight) > limit).any()
+        assert (np.abs(gemm + bias) > limit).any()
+        assert (np.abs(out) == scheme.intermediate.max_value).any()
+
+    @pytest.mark.parametrize("pe", [None, "emu-per-level"])
+    @pytest.mark.parametrize(
+        "name", [name for name, s in SCHEMES.items() if not s.is_float]
+    )
+    def test_forward_writes_no_input_or_parameter(self, name, pe):
+        model = _tiny_model()
+        rng = np.random.default_rng(4)
+        for param in model.parameters():
+            if param.name.endswith("/bias"):
+                param.value = rng.uniform(-1.0, 1.0, param.value.shape)
+        x = rng.uniform(-20.0, 20.0, (1, 16, 8, 8))
+        before = [param.value.copy() for param in model.parameters()]
+        x_before = x.copy()
+        QuantizedModel(model, SCHEMES[name], pe=pe)(x)
+        assert x.tobytes() == x_before.tobytes()
+        for param, value in zip(model.parameters(), before):
+            assert param.value.tobytes() == value.tobytes(), param.name
